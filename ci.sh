@@ -110,6 +110,24 @@ cargo run --offline --release -p sas-bench --bin perfbench -- --validate "$PERF_
 echo "==> perfbench --validate-all (committed trajectory)"
 cargo run --offline --release -p sas-bench --bin perfbench -- --validate-all
 
+# Benchmark smoke: one-second traced runs of the repository
+# benchmark's two simulation workloads. The runner checks its own
+# outputs (allow_all factual == plain run_city, obs on/off digest
+# parity, request conservation, dense == sparse) and reports any
+# failure in the "failed" count of its last line, the JSON result.
+for w in city-replay cloud-trace; do
+  echo "==> benchmark --workload $w --seconds 1 --trace 1"
+  last="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$w" --seconds 1 --trace 1 | tail -n 1)"
+  case "$last" in
+    *'"failed":0,'*) ;;
+    *)
+      echo "benchmark $w: output checks failed: $last" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -184,3 +184,26 @@ fn f9_scenario_obs_parity() {
         "f9/supervised",
     );
 }
+
+#[test]
+fn traced_city_profiles_the_router_supervision_step() {
+    use sas_bench::experiments::{f9_scenario, F9Arm};
+    let _guard = obs_lock();
+    let run = || obs::with_sink(|| f9_scenario(F9Arm::Supervised, SeedTree::new(1), 200));
+    obs::set_override(Some(true));
+    let (traced, on) = run();
+    obs::set_override(Some(false));
+    let (untraced, off) = run();
+    obs::set_override(None);
+
+    // The supervisor's per-tick checkpoint of the router is a phase of
+    // its own, not part of the unattributed remainder.
+    let supervise = on.profile.phase("city:supervise");
+    assert!(
+        supervise.is_some_and(|p| p.stats.count() == 200 && p.stats.sum() > 0.0),
+        "a traced run_city must profile city:supervise once per tick"
+    );
+    assert!(off.profile.phase("city:supervise").is_none());
+    assert!(off.profile.is_empty(), "an untraced run records no phases");
+    assert_eq!(traced, untraced, "the span must not perturb the run");
+}

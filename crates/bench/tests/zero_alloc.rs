@@ -1,4 +1,4 @@
-//! Counting-allocator proof of the comms zero-allocation contract.
+//! Counting-allocator proofs of the allocation contracts.
 //!
 //! `selfaware::comms` promises that the steady-state reliable
 //! send/deliver/ack cycle performs no heap allocation per message
@@ -9,14 +9,22 @@
 //! buffer, a long steady-state run must leave the allocation counter
 //! untouched.
 //!
+//! The router supervisor checkpoints the learned CPN router every
+//! tick, so a `Router` clone must cost a fixed, small number of
+//! allocations whatever the network size, and the supervised
+//! composed city must stay within a per-tick allocation budget.
+//!
 //! The counter is **per-thread**: the libtest harness thread keeps
 //! running (and occasionally allocating for its timed bookkeeping)
 //! while the test thread measures, so a process-wide counter would be
 //! flaky. Only allocations made by the measuring thread itself count.
 
+use compose::{CityConfig, CityPolicy};
+use cpn::graph::Graph;
+use cpn::routing::RoutingStrategy;
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsPolicy, IdealChannel};
 use selfaware::explain::ExplanationLog;
-use simkernel::{obs, Tick};
+use simkernel::{obs, SeedTree, Tick};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -142,5 +150,44 @@ fn steady_state_comms_cycle_is_allocation_free() {
         lossy_net.stats().retries
     );
 
+    obs::set_override(None);
+}
+
+#[test]
+fn cpn_router_clone_cost_does_not_grow_with_the_network() {
+    obs::set_override(Some(false));
+    let clone_allocs = |side: usize| {
+        let g = Graph::grid(side, side);
+        let router = RoutingStrategy::supervised_cpn_default().build(&g);
+        let before = allocations();
+        let copy = std::hint::black_box(router.clone());
+        let allocs = allocations() - before;
+        drop(copy);
+        allocs
+    };
+    let (small, large) = (clone_allocs(4), clone_allocs(8));
+    assert_eq!(
+        small, large,
+        "cloning a 16-router and a 64-router CPN must cost the same allocations"
+    );
+    assert!(large <= 3, "a CPN router clone made {large} allocations");
+    obs::set_override(None);
+}
+
+#[test]
+fn supervised_cascade_city_stays_within_its_allocation_budget() {
+    const STEPS: u64 = 600;
+    obs::set_override(Some(false));
+    let city_seeds = SeedTree::new(1).child("city");
+    let mut cfg = CityConfig::standard(CityPolicy::supervised(), STEPS, &city_seeds);
+    cfg.campaign = sas_bench::f9_campaign(&city_seeds, STEPS);
+    let before = allocations();
+    let r = compose::run_city(&cfg, &city_seeds);
+    let per_tick = (allocations() - before) as f64 / STEPS as f64;
+    assert!(r.metrics.get("serviced").unwrap_or(0.0) > 0.0);
+    assert!(
+        per_tick < 100.0,
+        "supervised cascade run_city made {per_tick:.1} allocations per tick"
+    );
     obs::set_override(None);
 }

@@ -947,6 +947,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         drop(act_span);
 
         // --- Meta-self-awareness over the router. ------------------
+        let supervise_span = obs::span("city:supervise");
         if let Some(s) = &mut supervision {
             if tick_transit_n > 0 {
                 let mean = tick_transit_sum / f64::from(tick_transit_n);
@@ -981,6 +982,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 router = s.sup.model().clone();
             }
         }
+        drop(supervise_span);
 
         clock.wait_until(now + Tick(1));
     }

@@ -12,6 +12,7 @@ use crate::graph::Graph;
 use rand::Rng as _;
 use simkernel::rng::Rng;
 use simkernel::Tick;
+use std::sync::Arc;
 
 /// Routing strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,22 +113,18 @@ impl RoutingStrategy {
                 assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0,1]");
                 // Optimistic init from hop counts so cold-start routes
                 // are sensible.
-                let mut q = vec![vec![Vec::new(); n]; n];
-                #[allow(clippy::needless_range_loop)] // q is indexed by two loop variables at once
+                let mut q = QTable::zeroed(graph);
                 for dst in 0..n {
                     let hops = hop_distances(graph, dst);
                     for u in 0..n {
-                        q[u][dst] = graph
-                            .neighbours(u)
-                            .iter()
-                            .map(|&v| {
-                                if hops[v] == usize::MAX {
-                                    1e6
-                                } else {
-                                    (hops[v] + 1) as f64
-                                }
-                            })
-                            .collect();
+                        let row = q.row_mut(u, dst);
+                        for (cell, &v) in row.iter_mut().zip(graph.neighbours(u)) {
+                            *cell = if hops[v] == usize::MAX {
+                                1e6
+                            } else {
+                                (hops[v] + 1) as f64
+                            };
+                        }
                     }
                 }
                 Router {
@@ -169,6 +166,58 @@ fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
     dist
 }
 
+/// The CPN router's learned delay estimates, one dense table.
+///
+/// Row `(u, dst)` holds `deg(u)` cells — the estimated remaining delay
+/// from `u` to `dst` via each neighbour of `u`, in adjacency order —
+/// at `base[u] + dst·deg(u)` of one flat `cells` buffer. The row
+/// offsets depend only on the topology, so clones share them and a
+/// clone copies just the cells.
+#[derive(Clone)]
+struct QTable {
+    cells: Vec<f64>,
+    /// `(base[u], deg(u))` per router.
+    rows: Arc<[(usize, usize)]>,
+}
+
+impl QTable {
+    /// A zero-filled table shaped by `graph`'s adjacency lists.
+    fn zeroed(graph: &Graph) -> Self {
+        let n = graph.len();
+        let mut len = 0;
+        let rows: Arc<[(usize, usize)]> = (0..n)
+            .map(|u| {
+                let deg = graph.neighbours(u).len();
+                let base = len;
+                len += n * deg;
+                (base, deg)
+            })
+            .collect();
+        Self {
+            cells: vec![0.0; len],
+            rows,
+        }
+    }
+
+    /// Where row `(u, dst)` sits in `cells`.
+    fn range(&self, u: usize, dst: usize) -> std::ops::Range<usize> {
+        assert!(dst < self.rows.len(), "destination {dst} out of range");
+        let (base, deg) = self.rows[u];
+        let start = base + dst * deg;
+        start..start + deg
+    }
+
+    /// Estimates from `u` toward `dst`, one per neighbour of `u`.
+    fn row(&self, u: usize, dst: usize) -> &[f64] {
+        &self.cells[self.range(u, dst)]
+    }
+
+    fn row_mut(&mut self, u: usize, dst: usize) -> &mut [f64] {
+        let range = self.range(u, dst);
+        &mut self.cells[range]
+    }
+}
+
 #[derive(Clone)]
 enum RouterKind {
     Table {
@@ -176,9 +225,7 @@ enum RouterKind {
         period: Option<u64>,
     },
     Cpn {
-        /// `q[u][dst][k]` — estimated remaining delay from `u` to
-        /// `dst` via the k-th neighbour of `u`.
-        q: Vec<Vec<Vec<f64>>>,
+        q: QTable,
         smart_ratio: f64,
         epsilon: f64,
         /// Transient per-router congestion penalty from the latest
@@ -188,8 +235,11 @@ enum RouterKind {
     },
 }
 
-/// A runtime router. `Clone` is cheap enough to checkpoint: the CPN
-/// state is one dense `f64` table.
+/// A runtime router. `Clone` is cheap enough to checkpoint every tick:
+/// a CPN router's learned state is one flat `f64` buffer of
+/// `Σ_u n·deg(u)` cells (row `(u, dst)` at `base[u] + dst·deg(u)`,
+/// with the offsets shared between clones) plus its `n`-entry
+/// congestion penalty, so a clone is two allocations and two copies.
 #[derive(Clone)]
 pub struct Router {
     kind: RouterKind,
@@ -279,7 +329,7 @@ impl Router {
                 if up == 0 {
                     return None;
                 }
-                let row = &q[at][dst];
+                let row = q.row(at, dst);
                 if smart && rng.gen::<f64>() < *epsilon {
                     let pick = rng.gen_range(0..up);
                     return neighbours
@@ -325,7 +375,7 @@ impl Router {
         let downstream = if v == dst {
             0.0
         } else {
-            q[v][dst]
+            q.row(v, dst)
                 .iter()
                 .copied()
                 .fold(f64::INFINITY, f64::min)
@@ -333,7 +383,7 @@ impl Router {
         };
         if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
             let target = hop_delay.max(1.0) + downstream;
-            let cell = &mut q[u][dst][k];
+            let cell = &mut q.row_mut(u, dst)[k];
             *cell += ALPHA * (target - *cell);
         }
     }
@@ -354,7 +404,7 @@ impl Router {
             let (v, _) = w[1];
             let remaining = arrived.value().saturating_sub(entered_u.value()).max(1) as f64;
             if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-                let cell = &mut q[u][dst][k];
+                let cell = &mut q.row_mut(u, dst)[k];
                 *cell += ALPHA * (remaining - *cell);
             }
         }
@@ -368,7 +418,7 @@ impl Router {
         };
         const ALPHA: f64 = 0.3;
         if let Some(k) = graph.neighbours(u).iter().position(|&x| x == v) {
-            let cell = &mut q[u][dst][k];
+            let cell = &mut q.row_mut(u, dst)[k];
             *cell += ALPHA * (DROP_PENALTY - *cell);
         }
     }
@@ -382,7 +432,7 @@ impl Router {
                 .neighbours(u)
                 .iter()
                 .position(|&x| x == v)
-                .map(|k| q[u][dst][k]),
+                .map(|k| q.row(u, dst)[k]),
             RouterKind::Table { .. } => None,
         }
     }
@@ -398,7 +448,7 @@ impl Router {
         let RouterKind::Cpn { q, .. } = &self.kind else {
             return None;
         };
-        let row = &q[src][dst];
+        let row = q.row(src, dst);
         if row.is_empty() {
             return None;
         }
@@ -416,11 +466,7 @@ impl Router {
     /// `NanPoison` model-corruption fault). No-op for table routers.
     pub fn poison_model(&mut self) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
-            for per_dst in q {
-                for row in per_dst {
-                    row.fill(f64::NAN);
-                }
-            }
+            q.cells.fill(f64::NAN);
         }
     }
 
@@ -431,9 +477,10 @@ impl Router {
     /// estimates away from measured delays. No-op for table routers.
     pub fn scramble_model(&mut self, gain: f64) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
-            for per_dst in q {
-                for row in per_dst {
-                    for (k, cell) in row.iter_mut().enumerate() {
+            let n = q.rows.len();
+            for u in 0..n {
+                for dst in 0..n {
+                    for (k, cell) in q.row_mut(u, dst).iter_mut().enumerate() {
                         *cell = *cell * gain + (k as f64 + 1.0) * gain;
                     }
                 }
