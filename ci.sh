@@ -24,6 +24,12 @@ SAS_THREADS=1 cargo test -q --offline -p sas-bench -p simkernel
 echo "==> cargo test -q --offline -p sas-bench -p simkernel (SAS_THREADS=4)"
 SAS_THREADS=4 cargo test -q --offline -p sas-bench -p simkernel
 
+# Release mode compiles the `#[cfg(not(debug_assertions))]` tests
+# (e.g. the scheduler's same-tick shed path), which every debug-mode
+# run above skips.
+echo "==> cargo test --release -q --offline -p simkernel"
+cargo test --release -q --offline -p simkernel
+
 # F8 smoke: drive the lossy-comms sweep end-to-end at reduced length
 # so a channel / retry-protocol regression surfaces here without the
 # cost of the full-length bench.

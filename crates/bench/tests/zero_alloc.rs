@@ -14,6 +14,11 @@
 //! allocations whatever the network size, and the supervised
 //! composed city must stay within a per-tick allocation budget.
 //!
+//! `simkernel::SimScheduler` reuses freed wake entries through its
+//! slab's free list, so once its buffers have grown to the number of
+//! pending wakes, scheduling and delivering wakes allocates nothing,
+//! whether a wake lands in the tick ring or in the far heap.
+//!
 //! The counter is **per-thread**: the libtest harness thread keeps
 //! running (and occasionally allocating for its timed bookkeeping)
 //! while the test thread measures, so a process-wide counter would be
@@ -24,7 +29,7 @@ use cpn::graph::Graph;
 use cpn::routing::RoutingStrategy;
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsPolicy, IdealChannel};
 use selfaware::explain::ExplanationLog;
-use simkernel::{obs, SeedTree, Tick};
+use simkernel::{obs, SeedTree, SimScheduler, Tick};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -188,6 +193,51 @@ fn supervised_cascade_city_stays_within_its_allocation_budget() {
     assert!(
         per_tick < 100.0,
         "supervised cascade run_city made {per_tick:.1} allocations per tick"
+    );
+    obs::set_override(None);
+}
+
+/// Runs a `wake_at`/`pop_due` loop over `ticks` ticks from `start`: each
+/// delivered entity re-schedules itself, alternately a few ticks ahead
+/// (into the tick ring) and more than a ring window ahead (into the far
+/// heap), so the number of pending wakes stays constant. Returns the
+/// allocations made and the wakes delivered.
+fn run_wakes(sched: &mut SimScheduler<usize>, start: u64, ticks: u64) -> (u64, u64) {
+    const FAR: u64 = 5_000;
+    let mut delivered = 0u64;
+    let before = allocations();
+    for t in start..start + ticks {
+        while let Some((_, _, i)) = sched.pop_due(Tick(t)) {
+            delivered += 1;
+            let gap = if (delivered + i as u64).is_multiple_of(2) {
+                1 + i as u64 % 37
+            } else {
+                FAR + i as u64 % 500
+            };
+            sched.wake_at(Tick(t + gap), (i % 3) as u8, i);
+        }
+    }
+    (allocations() - before, delivered)
+}
+
+#[test]
+fn steady_state_scheduler_is_allocation_free() {
+    const PENDING: usize = 512;
+    obs::set_override(Some(false));
+    let mut sched: SimScheduler<usize> = SimScheduler::new();
+    // Warm-up: every wake starts in the far heap and later migrates
+    // into the ring together, so both buffers reach PENDING entries.
+    for i in 0..PENDING {
+        sched.wake_at(Tick(5_000 + i as u64 % 50), (i % 3) as u8, i);
+    }
+    let (warmup, _) = run_wakes(&mut sched, 0, 20_000);
+    assert!(warmup > 0, "warmup should grow the scheduler's buffers");
+    let (steady, delivered) = run_wakes(&mut sched, 20_000, 100_000);
+    assert_eq!(sched.len(), PENDING);
+    assert!(delivered > 10 * PENDING as u64, "only {delivered} wakes");
+    assert_eq!(
+        steady, 0,
+        "{steady} allocations over {delivered} steady-state wakes"
     );
     obs::set_override(None);
 }

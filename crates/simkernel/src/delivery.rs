@@ -9,9 +9,9 @@
 //! deterministic order — ascending arrival tick, FIFO among items
 //! scheduled for the same tick.
 //!
-//! Unlike [`crate::events::EventQueue`] this queue carries arbitrary
-//! payloads and never inspects them, so callers can keep whole
-//! messages (not just event tags) in flight.
+//! Unlike [`crate::sched::SimScheduler`], which orders small entity
+//! keys by priority class, this queue carries arbitrary payloads and
+//! never inspects them, so callers can keep whole messages in flight.
 //!
 //! ```
 //! use simkernel::delivery::DeliveryQueue;

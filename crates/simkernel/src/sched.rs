@@ -1,11 +1,9 @@
 //! Deterministic discrete-event scheduler with sparse activation.
 //!
-//! [`SimScheduler`] promotes the calendar-queue machinery of
-//! [`crate::events::EventQueue`] / [`crate::delivery::DeliveryQueue`]
-//! into a *main-loop* primitive: instead of visiting every entity every
-//! tick, a simulator registers **wakes** — `(tick, class, entity)`
-//! triples — and each tick visits only the entities with a due wake.
-//! An entity is woken when
+//! [`SimScheduler`] is the workspace's main-loop primitive: instead of
+//! visiting every entity every tick, a simulator registers **wakes** —
+//! `(tick, class, entity)` triples — and each tick visits only the
+//! entities with a due wake. An entity is woken when
 //!
 //! * a previously scheduled event falls due ([`SimScheduler::wake_at`]
 //!   — fault onsets, churn transitions, timer expiries), or
@@ -19,10 +17,33 @@
 //! byte is a *priority class* (lower fires first within a tick) so a
 //! simulator can pin, e.g., fault application before entity visits;
 //! the FIFO sequence makes simultaneous same-class wakes fire in
-//! scheduling order regardless of heap internals. Because the delivery
-//! order is a pure function of the schedule calls — never of worker
-//! count or timing — sparse runs preserve the workspace's
-//! seq-vs-parallel bit-identity contract.
+//! scheduling order. Because the delivery order is a pure function of
+//! the schedule calls — never of worker count or timing — sparse runs
+//! preserve the workspace's seq-vs-parallel bit-identity contract.
+//!
+//! ## Calendar queue
+//!
+//! Wake times are integer ticks, so the queue is a calendar of
+//! per-tick buckets rather than one comparison heap:
+//!
+//! * a ring of 4,096 buckets covers the ticks `[cursor, cursor +
+//!   4096)`; a tick's bucket is its value modulo the ring size;
+//! * each bucket is a FIFO list threaded through **one shared slab** of
+//!   entries, whose freed entries are reused through a free list, so a
+//!   steady schedule/drain cycle allocates nothing;
+//! * a bucket stays in class order: a wake appends at the tail, unless
+//!   its class is lower than the tail's, in which case it is linked in
+//!   after the last entry of its class or lower;
+//! * a 64-word occupancy bitmap finds the next non-empty bucket;
+//! * wakes at or beyond the window wait in a far heap ordered by
+//!   `(tick, class, seq)`.
+//!
+//! `pop_due` moves `cursor` as far toward `now` as it can without
+//! passing a pending wake. Whenever it advances, the far wakes that enter the window migrate into their
+//! buckets in heap order. A tick's wakes are therefore all in the far
+//! heap or all in one bucket, and migrated wakes precede every wake
+//! scheduled into that bucket afterwards — so FIFO order holds without
+//! storing a sequence number in the ring.
 //!
 //! ## Same-tick budget
 //!
@@ -31,18 +52,21 @@
 //! per-tick same-tick delivery budget
 //! ([`DEFAULT_SAME_TICK_BUDGET`], overridable via
 //! [`SimScheduler::with_same_tick_budget`]); exceeding it panics in
-//! debug builds and, in release builds, sheds the wake, emits a
-//! `sched_shed` record through [`crate::obs`], and terminates the
-//! drain (the shed is visible in [`SimScheduler::shed_count`]).
+//! debug builds. Release builds **shed** the over-budget wake: it is
+//! removed and never delivered, counted in
+//! [`SimScheduler::shed_count`], reported by a `sched_shed` record
+//! through [`crate::obs`], and the drain terminates (`pop_due` returns
+//! `None`). Every further due wake popped in that tick is shed the
+//! same way; the budget resets on the next tick.
 //!
 //! ## Parity comparison
 //!
 //! Like `DeliveryQueue`'s pool-exclusive equality, `SimScheduler`'s
 //! [`PartialEq`] compares *delivery order* — the `(tick, class, key)`
-//! sequence the heap would drain — while ignoring the absolute values
-//! of the internal FIFO counter, so two schedulers that went through
-//! different scheduling histories but will behave identically compare
-//! equal.
+//! sequence the queue would drain — while ignoring internal layout and
+//! the absolute values of the far heap's FIFO counter, so two
+//! schedulers that went through different scheduling histories but
+//! will behave identically compare equal.
 //!
 //! # Example
 //!
@@ -65,13 +89,23 @@
 use crate::clock::Tick;
 use crate::obs;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Default per-tick same-tick delivery budget. Generous — real worlds
 /// deliver a handful of wakes per entity per tick — while still
 /// bounding a same-tick re-schedule loop to one tick's worth of work.
 pub const DEFAULT_SAME_TICK_BUDGET: u64 = 1 << 20;
 
+/// Ticks covered by the bucket ring. A power of two, so a tick's
+/// bucket is `tick & MASK`.
+const WINDOW: usize = 4096;
+const MASK: usize = WINDOW - 1;
+/// Occupancy bitmap words, one bit per bucket.
+const WORDS: usize = WINDOW / 64;
+/// End-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// A wake at or beyond the ring's window, waiting in the far heap.
 #[derive(Debug, Clone)]
 struct Wake<K> {
     at: Tick,
@@ -105,11 +139,66 @@ impl<K> PartialOrd for Wake<K> {
     }
 }
 
+/// One slab entry: a ring wake linked into its bucket's list, or a
+/// link in the free list. An enum rather than `Option<K>` beside the
+/// links, so that for `usize` keys an entry takes 16 bytes, not 24.
+#[derive(Debug, Clone)]
+enum Slot<K> {
+    Used { key: K, class: u8, next: u32 },
+    Free { next: u32 },
+}
+
+impl<K> Slot<K> {
+    fn next(&self) -> u32 {
+        match self {
+            Self::Used { next, .. } | Self::Free { next } => *next,
+        }
+    }
+
+    fn set_next(&mut self, to: u32) {
+        match self {
+            Self::Used { next, .. } | Self::Free { next } => *next = to,
+        }
+    }
+
+    /// Priority class of a ring wake (free slots sit in no bucket).
+    fn class(&self) -> u8 {
+        match self {
+            Self::Used { class, .. } => *class,
+            Self::Free { .. } => u8::MAX,
+        }
+    }
+}
+
+/// First and last slab entry of one tick's list (`NIL` when empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
 /// A deterministic sparse-activation wake queue (see module docs).
 #[derive(Debug, Clone)]
 pub struct SimScheduler<K> {
-    heap: BinaryHeap<Wake<K>>,
-    next_seq: u64,
+    /// Lists for the ticks `[cursor, cursor + WINDOW)`, at `tick & MASK`.
+    buckets: Box<[Bucket; WINDOW]>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; WORDS],
+    slab: Vec<Slot<K>>,
+    /// Head of the free list through `slab`.
+    free: u32,
+    /// Wakes held in the ring.
+    ring_len: usize,
+    /// First tick of the window; never after `now` or a pending wake.
+    cursor: u64,
+    /// Wakes at or beyond `cursor + WINDOW`.
+    far: BinaryHeap<Wake<K>>,
+    far_seq: u64,
     now: Tick,
     fired_at: Tick,
     fired: u64,
@@ -123,8 +212,14 @@ impl<K> SimScheduler<K> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            buckets: Box::new([EMPTY; WINDOW]),
+            occupied: [0; WORDS],
+            slab: Vec::new(),
+            free: NIL,
+            ring_len: 0,
+            cursor: 0,
+            far: BinaryHeap::new(),
+            far_seq: 0,
             now: Tick::ZERO,
             fired_at: Tick::ZERO,
             fired: 0,
@@ -159,15 +254,19 @@ impl<K> SimScheduler<K> {
     /// `class` (lower classes fire first within a tick). A time in the
     /// past is clamped to `now`.
     pub fn wake_at(&mut self, at: Tick, class: u8, key: K) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Wake {
-            at,
-            class,
-            seq,
-            key,
-        });
+        let at = at.max(self.now).value();
+        if at - self.cursor < WINDOW as u64 {
+            self.ring_push(at, class, key);
+        } else {
+            let seq = self.far_seq;
+            self.far_seq += 1;
+            self.far.push(Wake {
+                at: Tick(at),
+                class,
+                seq,
+                key,
+            });
+        }
     }
 
     /// Schedules a wake for entity `key` at the current tick — the
@@ -180,7 +279,7 @@ impl<K> SimScheduler<K> {
     /// Time of the earliest pending wake, if any.
     #[must_use]
     pub fn next_wake(&self) -> Option<Tick> {
-        self.heap.peek().map(|w| w.at)
+        self.peek().map(|(at, _)| at)
     }
 
     /// Time and priority class of the earliest pending wake, if any.
@@ -189,7 +288,13 @@ impl<K> SimScheduler<K> {
     /// come back for the entity-class wakes.
     #[must_use]
     pub fn peek(&self) -> Option<(Tick, u8)> {
-        self.heap.peek().map(|w| (w.at, w.class))
+        match self.ring_front() {
+            Some(at) => {
+                let head = self.buckets[at as usize & MASK].head;
+                Some((Tick(at), self.slab[head as usize].class()))
+            }
+            None => self.far.peek().map(|w| (w.at, w.class)),
+        }
     }
 
     /// Delivers the next wake due at or before `now`, advancing
@@ -197,15 +302,13 @@ impl<K> SimScheduler<K> {
     /// due this tick — the caller's drain loop terminates on it.
     ///
     /// Applies the same-tick budget: past it, debug builds panic
-    /// (`debug_assert!`) and release builds shed the wake, emit one
-    /// `sched_shed` observability record for the tick, and return
-    /// `None`.
+    /// (`debug_assert!`) and release builds shed the wake (it is never
+    /// delivered), emit a `sched_shed` observability record, and
+    /// return `None`.
     pub fn pop_due(&mut self, now: Tick) -> Option<(Tick, u8, K)> {
         self.advance(now);
-        if self.heap.peek().is_none_or(|w| w.at > now) {
-            return None;
-        }
-        let w = self.heap.pop()?;
+        let at = self.settle().filter(|&at| at <= now.value())?;
+        let (class, key) = self.ring_pop(at)?;
         if self.fired_at != now {
             self.fired_at = now;
             self.fired = 0;
@@ -227,7 +330,7 @@ impl<K> SimScheduler<K> {
             ]));
             return None;
         }
-        Some((w.at, w.class, w.key))
+        Some((Tick(at), class, key))
     }
 
     /// Wakes shed by the same-tick budget (always 0 in debug builds,
@@ -240,18 +343,153 @@ impl<K> SimScheduler<K> {
     /// Number of pending wakes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.ring_len + self.far.len()
     }
 
     /// Whether no wakes are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Drops all pending wakes.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.buckets.fill(EMPTY);
+        self.occupied = [0; WORDS];
+        self.slab.clear();
+        self.free = NIL;
+        self.ring_len = 0;
+        self.far.clear();
+    }
+
+    /// Moves `cursor` as far toward `now` as the pending wakes allow,
+    /// migrating the far wakes that enter the window, and returns the
+    /// earliest pending tick.
+    fn settle(&mut self) -> Option<u64> {
+        let front = self
+            .ring_front()
+            .or_else(|| self.far.peek().map(|w| w.at.value()));
+        let target = front.map_or(self.now.value(), |t| t.min(self.now.value()));
+        if target > self.cursor {
+            self.cursor = target;
+            let end = target.saturating_add(WINDOW as u64);
+            loop {
+                let w = match self.far.peek_mut() {
+                    Some(top) if top.at.value() < end => PeekMut::pop(top),
+                    _ => break,
+                };
+                self.ring_push(w.at.value(), w.class, w.key);
+            }
+        }
+        front
+    }
+
+    /// Earliest tick with a ring wake: the first occupied bucket at or
+    /// after `cursor`, wrapping once around the ring.
+    fn ring_front(&self) -> Option<u64> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        let start = self.cursor as usize & MASK;
+        let mut word = start / 64;
+        let mut bits = self.occupied[word] & (u64::MAX << (start % 64));
+        for _ in 0..=WORDS {
+            if bits != 0 {
+                let bucket = word * 64 + bits.trailing_zeros() as usize;
+                return Some(self.cursor + (bucket.wrapping_sub(start) & MASK) as u64);
+            }
+            word = (word + 1) % WORDS;
+            bits = self.occupied[word];
+        }
+        None
+    }
+
+    /// Files a wake at tick `at`, which must lie inside the window.
+    fn ring_push(&mut self, at: u64, class: u8, key: K) {
+        let entry = Slot::Used {
+            key,
+            class,
+            next: NIL,
+        };
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("SimScheduler: more than u32::MAX - 1 wakes in the ring");
+            self.slab.push(entry);
+            slot
+        } else {
+            let slot = self.free;
+            self.free = std::mem::replace(&mut self.slab[slot as usize], entry).next();
+            slot
+        };
+        let b = at as usize & MASK;
+        let Bucket { head, tail } = self.buckets[b];
+        if head == NIL {
+            self.buckets[b] = Bucket {
+                head: slot,
+                tail: slot,
+            };
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else if self.slab[tail as usize].class() <= class {
+            self.slab[tail as usize].set_next(slot);
+            self.buckets[b].tail = slot;
+        } else {
+            // A lower class arrived late: link it in after the last
+            // entry of its class or lower. The tail's class is higher,
+            // so the walk stops before the end and the tail stays.
+            let (mut prev, mut cur) = (NIL, head);
+            while self.slab[cur as usize].class() <= class {
+                prev = cur;
+                cur = self.slab[cur as usize].next();
+            }
+            self.slab[slot as usize].set_next(cur);
+            if prev == NIL {
+                self.buckets[b].head = slot;
+            } else {
+                self.slab[prev as usize].set_next(slot);
+            }
+        }
+        self.ring_len += 1;
+    }
+
+    /// Removes the first wake of tick `at`'s bucket.
+    fn ring_pop(&mut self, at: u64) -> Option<(u8, K)> {
+        let b = at as usize & MASK;
+        let slot = self.buckets[b].head;
+        let entry = self.slab.get_mut(slot as usize)?;
+        let Slot::Used { key, class, next } =
+            std::mem::replace(entry, Slot::Free { next: self.free })
+        else {
+            return None;
+        };
+        self.free = slot;
+        self.buckets[b].head = next;
+        if next == NIL {
+            self.buckets[b].tail = NIL;
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.ring_len -= 1;
+        Some((class, key))
+    }
+
+    /// Every pending wake as `(tick, class, key)`, in delivery order.
+    fn delivery_order(&self) -> Vec<(u64, u8, &K)> {
+        let mut out = Vec::with_capacity(self.len());
+        for at in self.cursor..self.cursor.saturating_add(WINDOW as u64) {
+            let mut slot = self.buckets[at as usize & MASK].head;
+            while slot != NIL {
+                let e = &self.slab[slot as usize];
+                if let Slot::Used { key, class, .. } = e {
+                    out.push((at, *class, key));
+                }
+                slot = e.next();
+            }
+        }
+        let mut far: Vec<&Wake<K>> = self.far.iter().collect();
+        far.sort_unstable_by_key(|w| (w.at, w.class, w.seq));
+        out.extend(far.into_iter().map(|w| (w.at.value(), w.class, &w.key)));
+        out
     }
 }
 
@@ -263,22 +501,14 @@ impl<K> Default for SimScheduler<K> {
 
 /// Seq-counter-exclusive equality: two schedulers are equal when they
 /// are at the same time and would deliver the same `(tick, class,
-/// key)` sequence, regardless of absolute FIFO counter values (the
-/// same idiom as `DeliveryQueue`'s pool-exclusive equality).
+/// key)` sequence, regardless of internal layout or absolute FIFO
+/// counter values (the same idiom as `DeliveryQueue`'s pool-exclusive
+/// equality).
 impl<K: PartialEq> PartialEq for SimScheduler<K> {
     fn eq(&self, other: &Self) -> bool {
-        if self.now != other.now || self.heap.len() != other.heap.len() {
-            return false;
-        }
-        let order =
-            |a: &&Wake<K>, b: &&Wake<K>| (a.at, a.class, a.seq).cmp(&(b.at, b.class, b.seq));
-        let mut mine: Vec<&Wake<K>> = self.heap.iter().collect();
-        let mut theirs: Vec<&Wake<K>> = other.heap.iter().collect();
-        mine.sort_unstable_by(order);
-        theirs.sort_unstable_by(order);
-        mine.iter()
-            .zip(&theirs)
-            .all(|(a, b)| a.at == b.at && a.class == b.class && a.key == b.key)
+        self.now == other.now
+            && self.len() == other.len()
+            && self.delivery_order() == other.delivery_order()
     }
 }
 
@@ -479,8 +709,12 @@ mod tests {
         }
         assert_eq!(delivered, 16);
         assert_eq!(s.shed_count(), 1);
-        // The next tick proceeds normally.
-        assert!(s.pop_due(Tick(2)).is_some());
+        // The over-budget wake was shed, not deferred.
+        assert!(s.is_empty());
+        // The budget resets on the next tick: a fresh wake is delivered.
+        s.wake_at(Tick(2), 0, 7);
+        assert_eq!(s.pop_due(Tick(2)), Some((Tick(2), 0, 7)));
+        assert_eq!(s.shed_count(), 1);
     }
 
     #[test]
@@ -499,6 +733,62 @@ mod tests {
         }
         assert_eq!(n, 40);
         assert_eq!(s.shed_count(), 0);
+    }
+
+    #[test]
+    fn late_lower_class_is_linked_in_class_order() {
+        let mut s = SimScheduler::new();
+        for (class, key) in [(2, "a"), (2, "b"), (0, "c"), (1, "d"), (0, "e"), (2, "f")] {
+            s.wake_at(Tick(5), class, key);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| s.pop_due(Tick(5)))
+            .map(|(_, _, k)| k)
+            .collect();
+        assert_eq!(order, ["c", "e", "d", "a", "b", "f"]);
+    }
+
+    #[test]
+    fn far_wakes_migrate_ahead_of_later_pushes() {
+        let far = WINDOW as u64 * 3 + 17;
+        let mut s = SimScheduler::new();
+        s.wake_at(Tick(far), 1, "far-1");
+        s.wake_at(Tick(far), 0, "far-0");
+        s.wake_at(Tick(1), 0, "near");
+        assert_eq!(s.pop_due(Tick(1)), Some((Tick(1), 0, "near")));
+        // Once the window covers `far`, direct pushes queue behind the
+        // migrated wakes of their class.
+        assert_eq!(s.pop_due(Tick(far - 10)), None);
+        s.wake_at(Tick(far), 1, "direct-1");
+        s.wake_at(Tick(far), 0, "direct-0");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop_due(Tick(far)))
+            .map(|(_, _, k)| k)
+            .collect();
+        assert_eq!(order, ["far-0", "direct-0", "far-1", "direct-1"]);
+    }
+
+    #[test]
+    fn undrained_ticks_survive_a_jump_past_the_window() {
+        let w = WINDOW as u64;
+        let mut s = SimScheduler::new();
+        for t in [w * 5, 3, w + 2, 3, w * 2] {
+            s.wake_at(Tick(t), 0, t);
+        }
+        s.advance(Tick(w * 4));
+        assert_eq!(s.next_wake(), Some(Tick(3)));
+        s.wake_on_input(0, 0); // lands at now, behind the older ticks
+        let got: Vec<_> = std::iter::from_fn(|| s.pop_due(Tick(w * 4))).collect();
+        assert_eq!(
+            got,
+            [
+                (Tick(3), 0, 3),
+                (Tick(3), 0, 3),
+                (Tick(w + 2), 0, w + 2),
+                (Tick(w * 2), 0, w * 2),
+                (Tick(w * 4), 0, 0),
+            ]
+        );
+        assert_eq!(s.peek(), Some((Tick(w * 5), 0)));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
