@@ -30,77 +30,33 @@ SAS_THREADS=4 cargo test -q --offline -p sas-bench -p simkernel
 echo "==> cargo test --release -q --offline -p simkernel"
 cargo test --release -q --offline -p simkernel
 
-# F8 smoke: drive the lossy-comms sweep end-to-end at reduced length
-# so a channel / retry-protocol regression surfaces here without the
-# cost of the full-length bench.
-echo "==> cargo bench -p sas-bench --bench f8_comms_loss (F8_STEPS=600)"
-F8_STEPS=600 cargo bench --offline -p sas-bench --bench f8_comms_loss
+# Experiment smokes: every experiment with a reduced CI size runs end
+# to end under SAS_OBS=1, and its emitted run trace is
+# schema-validated. f10, f11 and f12 exit non-zero when their gate
+# fails; at smoke size f11 skips only its statistical CI-separation
+# gates and f12 only its full-scale floors and wall-clock speedup gate,
+# which need full-size runs. target/obs is cleaned on both sides so
+# stale artifacts can't mask a regression.
+for id in f5 f8 f9 f10 f11 f12; do
+  echo "==> SAS_OBS=1 sas-bench run $id --smoke"
+  rm -rf target/obs
+  SAS_OBS=1 cargo run --release --offline --quiet -p sas-bench -- run "$id" --smoke
 
-# F9 smoke: the composed smart-city cascade end-to-end at reduced
-# length, observability on, and schema-validate its emitted run trace
-# — the composition layer's cross-substrate wiring and the F9 trace
-# are both gated here.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f9_smart_city (F9_STEPS=300)"
-rm -rf target/obs
-SAS_OBS=1 F9_STEPS=300 cargo bench --offline -p sas-bench --bench f9_smart_city
+  echo "==> cargo run -p sas-bench --bin obs_validate ($id trace)"
+  cargo run --offline -p sas-bench --bin obs_validate
+  rm -rf target/obs
+done
 
-echo "==> cargo run -p sas-bench --bin obs_validate (F9 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# F10 smoke: counterfactual replay end-to-end at reduced length. The
-# bench binary exits non-zero if the intervention-regression gate
-# fails (an intervention class with negative measured benefit on its
-# canonical campaign), and the emitted trace — including the typed
-# `counterfactual` records — is schema-validated.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f10_counterfactual (F10_STEPS=600)"
-rm -rf target/obs
-SAS_OBS=1 F10_STEPS=600 cargo bench --offline -p sas-bench --bench f10_counterfactual
-
-echo "==> cargo run -p sas-bench --bin obs_validate (F10 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# F11 smoke: the wall-clock live-traffic server end-to-end — seeded
-# chaos replayed against an ephemeral-port TCP server, governed by the
-# supervised autoscaler. The bench binary asserts the robustness gates
-# (clean shutdown, zero leaked threads, a shed→recover cycle, the
-# poisoned arrival model noticed); F11_SMOKE=1 skips only the
-# statistical CI-separation gates, which need full-length runs. The
-# emitted trace (including live:* transitions) is schema-validated.
-echo "==> SAS_OBS=1 F11_SMOKE=1 cargo bench -p sas-bench --bench f11_live_traffic (F11_TICKS=250, F11_REPS=1)"
-rm -rf target/obs
-SAS_OBS=1 F11_SMOKE=1 F11_TICKS=250 F11_REPS=1 cargo bench --offline -p sas-bench --bench f11_live_traffic
-
-echo "==> cargo run -p sas-bench --bin obs_validate (F11 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# F12 smoke: the discrete-event substrates end-to-end at reduced
-# scale. The bench binary exits non-zero if any non-timing gate fails
-# (dense-vs-sparse bit-identity, seq-vs-parallel bit-identity);
-# F12_SMOKE=1 skips only the full-scale floors and the wall-clock
-# speedup gate, which need full-scale runs. The emitted trace is
-# schema-validated.
-echo "==> SAS_OBS=1 F12_SMOKE=1 cargo bench -p sas-bench --bench f12_des_scale"
-rm -rf target/obs
-SAS_OBS=1 F12_SMOKE=1 cargo bench --offline -p sas-bench --bench f12_des_scale
-
-echo "==> cargo run -p sas-bench --bin obs_validate (F12 trace)"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
-
-# Observability smoke: one real experiment under SAS_OBS=1 must emit
-# a parseable JSONL run trace with the expected schema (provenance,
-# arm aggregates + phase profile, per-replicate records). target/obs
-# is cleaned on both sides so stale artifacts can't mask a regression.
-echo "==> SAS_OBS=1 cargo bench -p sas-bench --bench f5_camnet_outage (F5_STEPS=900, F5_REPS=2)"
-rm -rf target/obs
-SAS_OBS=1 F5_STEPS=900 F5_REPS=2 cargo bench --offline -p sas-bench --bench f5_camnet_outage
-
-echo "==> cargo run -p sas-bench --bin obs_validate"
-cargo run --offline -p sas-bench --bin obs_validate
-rm -rf target/obs
+# Thread parity: the regenerated tables must be byte-identical at any
+# worker count. These experiments each take milliseconds at full size.
+PARITY_IDS="t3 t4 t5 t6 f1 f3 f5 f6 f7"
+echo "==> sas-bench run $PARITY_IDS: SAS_THREADS=1 vs SAS_THREADS=4"
+for threads in 1 4; do
+  # shellcheck disable=SC2086
+  SAS_THREADS=$threads cargo run --release --offline --quiet -p sas-bench -- \
+    run $PARITY_IDS > "target/parity-$threads.out"
+done
+cmp target/parity-1.out target/parity-4.out
 
 # Perf-trajectory smoke: regenerate the macro-bench document at
 # reduced steps/reps and schema-check it, then schema-check EVERY

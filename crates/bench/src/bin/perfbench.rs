@@ -21,7 +21,7 @@
 
 use sas_bench::perf;
 use simkernel::obs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
@@ -59,6 +59,31 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Reads `path`, parses it and schema-checks it, reporting the verdict
+/// either way. Returns the document only when it conforms.
+fn load_validated(path: &Path) -> Option<obs::Json> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("perfbench: cannot read {}: {e}", path.display());
+            return None;
+        }
+    };
+    let doc = match obs::parse(&text) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("perfbench: {} is not valid JSON: {e}", path.display());
+            return None;
+        }
+    };
+    if let Err(e) = perf::validate_bench(&doc) {
+        eprintln!("perfbench: schema drift in {}: {e}", path.display());
+        return None;
+    }
+    println!("perfbench: {} conforms to the schema", path.display());
+    Some(doc)
+}
+
 /// Validates every committed `BENCH_<n>.json` and prints the cross-PR
 /// wall-clock trajectory. Fails on schema drift in any document or
 /// when no documents are found at all (the trajectory must never
@@ -71,25 +96,9 @@ fn validate_all() -> ExitCode {
     }
     let mut history = Vec::new();
     for (version, path) in paths {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("perfbench: cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let doc = match obs::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("perfbench: {} is not valid JSON: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = perf::validate_bench(&doc) {
-            eprintln!("perfbench: schema drift in {}: {e}", path.display());
+        let Some(doc) = load_validated(&path) else {
             return ExitCode::FAILURE;
-        }
-        println!("perfbench: {} conforms to the schema", path.display());
+        };
         history.push((version, doc));
     }
     let table = perf::bench_delta_table(&history);
@@ -115,29 +124,9 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = args.validate {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("perfbench: cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let doc = match obs::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("perfbench: {} is not valid JSON: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        return match perf::validate_bench(&doc) {
-            Ok(()) => {
-                println!("perfbench: {} conforms to the schema", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("perfbench: schema drift in {}: {e}", path.display());
-                ExitCode::FAILURE
-            }
+        return match load_validated(&path) {
+            Some(_) => ExitCode::SUCCESS,
+            None => ExitCode::FAILURE,
         };
     }
 

@@ -1,5 +1,6 @@
 //! A1–A3 — parameter ablations of the camnet, CPN and model-pool knobs. See EXPERIMENTS.md.
 
+use super::{Experiment, Output, REPS};
 use selfaware::meta::ModelPool;
 use selfaware::models::ar::ArModel;
 use selfaware::models::ewma::Ewma;
@@ -130,6 +131,27 @@ pub fn run_a3(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizons `sas-bench run a1`, `a2` and `a3` use, in ticks.
+const A1_STEPS: u64 = 6_000;
+const A2_STEPS: u64 = 3_000;
+const A3_STEPS: u64 = 4_000;
+
+pub(super) const A1: Experiment = Experiment {
+    id: "a1",
+    has_smoke: false,
+    run: |_| Output::text(run_a1(REPS, A1_STEPS)),
+};
+pub(super) const A2: Experiment = Experiment {
+    id: "a2",
+    has_smoke: false,
+    run: |_| Output::text(run_a2(REPS, A2_STEPS)),
+};
+pub(super) const A3: Experiment = Experiment {
+    id: "a3",
+    has_smoke: false,
+    run: |_| Output::text(run_a3(REPS, A3_STEPS)),
+};
 
 #[cfg(test)]
 mod ablation_tests {

@@ -1,6 +1,6 @@
 //! F1 — emergent camera-policy heterogeneity. See EXPERIMENTS.md.
 
-use super::camnet_strategies;
+use super::{camnet_strategies, Experiment, Output};
 use simkernel::series::render_multi;
 use simkernel::{par_map, SeedTree, TimeSeries};
 use std::fmt::Write as _;
@@ -32,6 +32,15 @@ pub fn run_f1(steps: u64) -> String {
     out.push_str(&render_multi(&refs, 24));
     out
 }
+
+/// Horizon `sas-bench run f1` uses, in ticks.
+const STEPS: u64 = 6_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f1",
+    has_smoke: false,
+    run: |_| Output::text(run_f1(STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

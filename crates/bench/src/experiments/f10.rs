@@ -1,7 +1,6 @@
 //! F10 — counterfactual-replay explanation fidelity. See EXPERIMENTS.md.
 
-use super::f9_campaign;
-use super::RunTrace;
+use super::{f9_campaign, Experiment, Output, RunTrace, REPS};
 use selfaware::goals::Direction;
 use selfaware::replay::{
     CounterfactualDelta, CounterfactualReport, CounterfactualRun, InterventionClass,
@@ -10,6 +9,7 @@ use selfaware::replay::{
 use simkernel::obs;
 use simkernel::table::num_ci;
 use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
+use std::fmt::Write as _;
 
 /// Root seed of the F10 replication tree.
 pub const F10_SEED: u64 = 0xF10;
@@ -523,6 +523,33 @@ pub fn run_f10(reps: u32, steps: u64) -> F10Report {
         headlines,
     }
 }
+
+/// Horizon `sas-bench run f10` uses, in ticks; `--smoke` uses
+/// `SMOKE_STEPS`.
+const STEPS: u64 = 3_000;
+const SMOKE_STEPS: u64 = 600;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f10",
+    has_smoke: true,
+    run: |smoke| {
+        let report = run_f10(REPS, if smoke { SMOKE_STEPS } else { STEPS });
+        let mut stdout = format!("{}\n{}\n", report.table, report.fidelity);
+        if !report.headlines.is_empty() {
+            stdout.push_str("replicate-0 headlines:\n");
+            for line in &report.headlines {
+                let _ = writeln!(stdout, "  {line}");
+            }
+        }
+        for flag in &report.truncation_flags {
+            let _ = writeln!(stdout, "WARNING {flag}");
+        }
+        Output {
+            stdout,
+            gate: Some(("intervention-regression gate", report.gate_failures)),
+        }
+    },
+};
 
 #[cfg(test)]
 mod f10_tests {

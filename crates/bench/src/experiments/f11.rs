@@ -1,9 +1,10 @@
 //! F11 — live-traffic mode. See EXPERIMENTS.md.
 
-use super::{metrics_json, RunTrace};
+use super::{metrics_json, Experiment, Output, RunTrace};
 use simkernel::obs;
 use simkernel::table::{num, num_ci};
 use simkernel::{MetricSet, Replications, SeedTree, Table};
+use std::fmt::Write as _;
 
 /// Root seed of the F11 replication tree.
 pub const F11_SEED: u64 = 0xF11;
@@ -223,6 +224,39 @@ pub fn run_f11(reps: u32, ticks: u64, strict: bool) -> F11Report {
         failures,
     }
 }
+
+/// Horizon (10 ms governor quanta, ≈ 8 s of offered load) and
+/// replicates of `sas-bench run f11`.
+const TICKS: u64 = 800;
+const REPLICATES: u32 = 3;
+/// Horizon and replicates of `--smoke`, which also skips the two
+/// statistical CI-separation gates (they need full-length runs); the
+/// robustness gates always apply.
+const SMOKE_TICKS: u64 = 250;
+const SMOKE_REPS: u32 = 1;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f11",
+    has_smoke: true,
+    run: |smoke| {
+        let report = if smoke {
+            run_f11(SMOKE_REPS, SMOKE_TICKS, false)
+        } else {
+            run_f11(REPLICATES, TICKS, true)
+        };
+        let mut stdout = format!("{}\n", report.table);
+        if !report.transitions.is_empty() {
+            stdout.push_str("replicate-0 supervised transitions:\n");
+            for line in &report.transitions {
+                let _ = writeln!(stdout, "  {line}");
+            }
+        }
+        Output {
+            stdout,
+            gate: Some(("live-traffic acceptance", report.failures)),
+        }
+    },
+};
 
 #[cfg(test)]
 mod f11_tests {

@@ -1,8 +1,9 @@
 //! F12 — discrete-event substrate scale. See EXPERIMENTS.md.
 
-use super::RunTrace;
+use super::{Experiment, Output, RunTrace};
 use simkernel::runner::RunReport;
 use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
+use std::fmt::Write as _;
 
 /// Root seed of the F12 replication tree.
 pub const F12_SEED: u64 = 0xF12;
@@ -484,6 +485,27 @@ pub fn run_f12(smoke: bool, mut progress: impl FnMut(&str)) -> F12Report {
         failures,
     }
 }
+
+/// `sas-bench run f12`; `--smoke` runs the reduced CI scale, which
+/// keeps every bit-identity check but skips the wall-clock gates.
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f12",
+    has_smoke: true,
+    run: |smoke| {
+        let report = run_f12(smoke, |line| eprintln!("  {line}"));
+        let mut stdout = format!("{}\n", report.table);
+        for (substrate, speedup) in &report.speedups {
+            let _ = writeln!(
+                stdout,
+                "{substrate}: sparse@full runs {speedup:.0}× faster per entity-tick than dense@reduced"
+            );
+        }
+        Output {
+            stdout,
+            gate: Some(("F12 scale gate", report.failures)),
+        }
+    },
+};
 
 #[cfg(test)]
 mod f12_tests {

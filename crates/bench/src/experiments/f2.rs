@@ -1,5 +1,6 @@
 //! F2 — routing under DoS. See EXPERIMENTS.md.
 
+use super::{Experiment, Output};
 use simkernel::series::render_multi;
 use simkernel::table::num;
 use simkernel::{par_map, SeedTree, Table, TimeSeries};
@@ -46,6 +47,15 @@ pub fn run_f2(steps: u64) -> String {
     out.push_str(&render_multi(&refs, 30));
     out
 }
+
+/// Horizon `sas-bench run f2` uses, in ticks.
+const STEPS: u64 = 3_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f2",
+    has_smoke: false,
+    run: |_| Output::text(run_f2(STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

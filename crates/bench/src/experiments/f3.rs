@@ -1,5 +1,6 @@
 //! F3 — meta-self-awareness under concept drift. See EXPERIMENTS.md.
 
+use super::{Experiment, Output};
 use selfaware::meta::ModelPool;
 use selfaware::models::ar::ArModel;
 use selfaware::models::ewma::Ewma;
@@ -125,6 +126,15 @@ pub fn run_f3(steps: u64) -> String {
     out.push_str(&render_multi(&refs, 24));
     out
 }
+
+/// Horizon `sas-bench run f3` uses, in ticks.
+const STEPS: u64 = 4_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f3",
+    has_smoke: false,
+    run: |_| Output::text(run_f3(STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,6 @@
 //! F4 — dependence on a-priori models. See EXPERIMENTS.md.
 
+use super::{Experiment, Output, REPS};
 use selfaware::levels::LevelSet;
 use simkernel::series::render_multi;
 use simkernel::table::{num, num_ci};
@@ -77,6 +78,15 @@ pub fn run_f4(reps: u32, steps: u64) -> String {
     out.push_str(&render_multi(&[&static_series, &aware_series], 5));
     out
 }
+
+/// Horizon `sas-bench run f4` uses, in ticks.
+const STEPS: u64 = 4_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f4",
+    has_smoke: false,
+    run: |_| Output::text(run_f4(REPS, STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

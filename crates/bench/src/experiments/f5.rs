@@ -1,6 +1,6 @@
 //! F5 — camera-network outage recovery. See EXPERIMENTS.md.
 
-use super::{metrics_json, RunTrace};
+use super::{metrics_json, Experiment, Output, RunTrace, REPS};
 use simkernel::obs;
 use simkernel::table::{num, num_ci};
 use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
@@ -133,6 +133,24 @@ pub fn run_f5(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run f5` uses, in ticks.
+const STEPS: u64 = 6_000;
+/// Horizon and replicates of `sas-bench run f5 --smoke`.
+const SMOKE_STEPS: u64 = 900;
+const SMOKE_REPS: u32 = 2;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f5",
+    has_smoke: true,
+    run: |smoke| {
+        Output::text(if smoke {
+            run_f5(SMOKE_REPS, SMOKE_STEPS)
+        } else {
+            run_f5(REPS, STEPS)
+        })
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! F6 — sensor-fault quarantine. See EXPERIMENTS.md.
 
-use super::{metrics_json, RunTrace};
+use super::{metrics_json, Experiment, Output, RunTrace, REPS};
 use simkernel::obs;
 use simkernel::table::{num, num_ci};
 use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
@@ -214,6 +214,15 @@ pub fn run_f6(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run f6` uses, in ticks.
+const STEPS: u64 = 6_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f6",
+    has_smoke: false,
+    run: |_| Output::text(run_f6(REPS, STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

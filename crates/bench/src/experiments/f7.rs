@@ -1,6 +1,6 @@
 //! F7 — controller-model corruption. See EXPERIMENTS.md.
 
-use super::{metrics_json, RunTrace};
+use super::{metrics_json, Experiment, Output, RunTrace, REPS};
 use selfaware::models::holt::Holt;
 use selfaware::models::{Forecaster, OnlineModel as _};
 use simkernel::obs;
@@ -300,6 +300,15 @@ pub fn run_f7(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run f7` uses, in ticks.
+const STEPS: u64 = 6_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f7",
+    has_smoke: false,
+    run: |_| Output::text(run_f7(REPS, STEPS)),
+};
 
 #[cfg(test)]
 mod f7_tests {

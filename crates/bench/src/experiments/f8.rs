@@ -1,6 +1,6 @@
 //! F8 — unreliable communications. See EXPERIMENTS.md.
 
-use super::{metrics_json, RunTrace};
+use super::{metrics_json, Experiment, Output, RunTrace, REPS};
 use selfaware::levels::{Level, LevelSet};
 use simkernel::obs;
 use simkernel::table::num_ci;
@@ -279,6 +279,17 @@ pub fn run_f8(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run f8` uses, in ticks; `--smoke` uses
+/// `SMOKE_STEPS`.
+const STEPS: u64 = 3_000;
+const SMOKE_STEPS: u64 = 600;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f8",
+    has_smoke: true,
+    run: |smoke| Output::text(run_f8(REPS, if smoke { SMOKE_STEPS } else { STEPS })),
+};
 
 #[cfg(test)]
 mod f8_tests {

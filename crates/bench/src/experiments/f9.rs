@@ -1,6 +1,6 @@
 //! F9 — composed smart-city cascade. See EXPERIMENTS.md.
 
-use super::{metrics_json, RunTrace};
+use super::{metrics_json, Experiment, Output, RunTrace, REPS};
 use simkernel::obs;
 use simkernel::table::num_ci;
 use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
@@ -207,6 +207,29 @@ pub fn run_f9(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run f9` uses, in ticks; `--smoke` uses
+/// `SMOKE_STEPS`.
+const STEPS: u64 = 3_000;
+const SMOKE_STEPS: u64 = 300;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "f9",
+    has_smoke: true,
+    run: |smoke| {
+        let steps = if smoke { SMOKE_STEPS } else { STEPS };
+        let table = run_f9(REPS, steps);
+        let (sweep, breaking) = f9_breaking_point(REPS, steps);
+        let verdict = match breaking {
+            Some(loss) => format!(
+                "breaking point: learned-router delivery drops >5% below clean at {:.0}% report loss",
+                loss * 100.0
+            ),
+            None => "breaking point: not reached — the learned router held within 5% of clean delivery across the whole sweep".to_string(),
+        };
+        Output::text(format!("{table}\n{sweep}\n{verdict}"))
+    },
+};
 
 #[cfg(test)]
 mod f9_tests {

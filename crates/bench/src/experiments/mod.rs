@@ -8,6 +8,7 @@ use simkernel::{MetricSet, SeedTree};
 use std::path::{Path, PathBuf};
 
 mod ablations;
+mod b1;
 mod f1;
 mod f10;
 mod f11;
@@ -28,6 +29,7 @@ mod t5;
 mod t6;
 
 pub use ablations::*;
+pub use b1::*;
 pub use f1::*;
 pub use f10::*;
 pub use f11::*;
@@ -46,6 +48,65 @@ pub use t3::*;
 pub use t4::*;
 pub use t5::*;
 pub use t6::*;
+
+/// One experiment as `sas-bench run` sees it.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Run id (`t1`, `f12`, …), as typed after `sas-bench run`.
+    pub id: &'static str,
+    /// Whether the experiment has a reduced CI size, selected with
+    /// `--smoke`.
+    pub has_smoke: bool,
+    /// Runs the experiment, at its smoke size when passed `true`.
+    pub run: fn(bool) -> Output,
+}
+
+/// What one experiment run prints, and how its acceptance gate went.
+#[derive(Debug)]
+pub struct Output {
+    /// The regenerated table or figure, newline-terminated.
+    pub stdout: String,
+    /// `(gate name, failures)` for the gated experiments (F10–F12);
+    /// the gate passed when `failures` is empty.
+    pub gate: Option<(&'static str, Vec<String>)>,
+}
+
+impl Output {
+    /// An ungated experiment's output: `shown` plus a newline.
+    pub fn text(shown: impl std::fmt::Display) -> Self {
+        Self {
+            stdout: format!("{shown}\n"),
+            gate: None,
+        }
+    }
+}
+
+/// Every experiment, in EXPERIMENTS.md order; `sas-bench run all` runs
+/// them in this order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    t1::EXPERIMENT,
+    t2::EXPERIMENT,
+    t3::EXPERIMENT,
+    t4::EXPERIMENT,
+    t5::EXPERIMENT,
+    t6::EXPERIMENT,
+    f1::EXPERIMENT,
+    f2::EXPERIMENT,
+    f3::EXPERIMENT,
+    f4::EXPERIMENT,
+    f5::EXPERIMENT,
+    f6::EXPERIMENT,
+    f7::EXPERIMENT,
+    f8::EXPERIMENT,
+    f9::EXPERIMENT,
+    f10::EXPERIMENT,
+    f11::EXPERIMENT,
+    f12::EXPERIMENT,
+    ablations::A1,
+    ablations::A2,
+    ablations::A3,
+    b1::EXPERIMENT,
+];
 
 /// Default replication count for table experiments.
 pub const REPS: u32 = 5;

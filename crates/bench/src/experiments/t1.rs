@@ -1,6 +1,6 @@
 //! T1 — cloud trade-off management. See EXPERIMENTS.md.
 
-use super::run_cloud;
+use super::{run_cloud, Experiment, Output, CLOUD_STEPS, REPS};
 use selfaware::levels::LevelSet;
 use simkernel::table::{num, num_ci};
 use simkernel::{Replications, Table};
@@ -46,6 +46,12 @@ pub fn run_t1(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "t1",
+    has_smoke: false,
+    run: |_| Output::text(run_t1(REPS, CLOUD_STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! T2 — level-of-self-awareness ablation. See EXPERIMENTS.md.
 
-use super::run_cloud;
+use super::{run_cloud, Experiment, Output, CLOUD_STEPS, REPS};
 use selfaware::levels::{Level, LevelSet};
 use simkernel::table::num_ci;
 use simkernel::{Replications, Table};
@@ -43,6 +43,12 @@ pub fn run_t2(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "t2",
+    has_smoke: false,
+    run: |_| Output::text(run_t2(REPS, CLOUD_STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

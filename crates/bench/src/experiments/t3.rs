@@ -1,6 +1,6 @@
 //! T3 — camera handover strategies. See EXPERIMENTS.md.
 
-use super::camnet_strategies;
+use super::{camnet_strategies, Experiment, Output, REPS};
 use simkernel::table::{num, num_ci};
 use simkernel::{Replications, Table};
 
@@ -36,6 +36,15 @@ pub fn run_t3(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run t3` uses, in ticks.
+const STEPS: u64 = 6_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "t3",
+    has_smoke: false,
+    run: |_| Output::text(run_t3(REPS, STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,6 @@
 //! T4 — heterogeneous multicore scheduling. See EXPERIMENTS.md.
 
+use super::{Experiment, Output, REPS};
 use simkernel::table::{num, num_ci};
 use simkernel::{Replications, Table};
 
@@ -47,6 +48,15 @@ pub fn run_t4(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run t4` uses, in ticks.
+const STEPS: u64 = 3_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "t4",
+    has_smoke: false,
+    run: |_| Output::text(run_t4(REPS, STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

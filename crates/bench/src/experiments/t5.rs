@@ -1,5 +1,6 @@
 //! T5 — collective awareness without a global component. See EXPERIMENTS.md.
 
+use super::{Experiment, Output};
 use selfaware::collective::{centralized_estimate, hierarchical_estimate, GossipNetwork};
 use simkernel::{MetricSet, Replications, SeedTree, Table};
 
@@ -66,6 +67,15 @@ pub fn run_t5(reps: u32) -> Table {
     }
     table
 }
+
+/// Replicates per network size `sas-bench run t5` uses.
+const REPLICATES: u32 = 10;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "t5",
+    has_smoke: false,
+    run: |_| Output::text(run_t5(REPLICATES)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,6 @@
 //! T6 — attention under a monitoring budget. See EXPERIMENTS.md.
 
+use super::{Experiment, Output, REPS};
 use simkernel::table::{num, num_ci};
 use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
 
@@ -104,6 +105,15 @@ pub fn run_t6(reps: u32, steps: u64) -> Table {
     }
     table
 }
+
+/// Horizon `sas-bench run t6` uses, in ticks.
+const STEPS: u64 = 4_000;
+
+pub(super) const EXPERIMENT: Experiment = Experiment {
+    id: "t6",
+    has_smoke: false,
+    run: |_| Output::text(run_t6(REPS, STEPS)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
 //! # sas-bench — the evaluation harness
 //!
 //! One module per experiment in EXPERIMENTS.md. Each `run_*` function
-//! executes the experiment at its standard scale and returns the
-//! rendered table/figure as a string; the `benches/` targets are thin
-//! `main`s that print that string (so `cargo bench` regenerates every
+//! executes the experiment at the size it is given and returns the
+//! rendered table/figure; [`EXPERIMENTS`] pairs each one with its run
+//! id and its full and smoke sizes. The `sas-bench` binary prints them
+//! (`sas-bench run <id>... [--smoke]`, or `run all` to regenerate every
 //! table and figure of the reproduction).
 //!
 //! All experiments use common random numbers across strategies

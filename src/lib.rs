@@ -17,8 +17,8 @@
 //!   (cognitive packet networks).
 //!
 //! Start with `examples/quickstart.rs`, then see `EXPERIMENTS.md` for
-//! the full evaluation and `cargo bench` to regenerate every table and
-//! figure.
+//! the full evaluation and `cargo run --release -p sas-bench -- run all`
+//! to regenerate every table and figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
