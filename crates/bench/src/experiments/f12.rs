@@ -172,8 +172,9 @@ fn f12_cloud_cfg(
     };
     let mut cfg = cloudsim::DesCloudConfig::at_scale(nodes, steps, scales.cloud_rate);
     // Trace-scale churn: at 150k ticks the `at_scale` default flips
-    // every node ~150 times, which is availability chaos, not
-    // volunteer churn. A node here flips ~15 times per full trace.
+    // every node ~270 times (2·steps / (1/p_off + 1/p_on)), which is
+    // availability chaos, not volunteer churn. A node here flips ~55
+    // times per full trace.
     // Applied at both scales so dense@reduced and sparse arms model
     // the same fleet.
     cfg.churn_off = 2e-4;

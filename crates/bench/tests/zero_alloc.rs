@@ -241,3 +241,29 @@ fn steady_state_scheduler_is_allocation_free() {
     );
     obs::set_override(None);
 }
+
+#[test]
+fn cloud_trace_setup_allocations_do_not_grow_with_the_fleet() {
+    // A zero-tick run is the F12 cloud world's set-up alone. Every
+    // per-node structure lives in a handful of fleet-wide buffers, so
+    // building 4,096 nodes must cost the same allocations as 64.
+    obs::set_override(Some(false));
+    let setup_allocs = |nodes: usize| {
+        let cfg = cloudsim::DesCloudConfig::at_scale(nodes, 0, 8.0);
+        let before = allocations();
+        let r = std::hint::black_box(cloudsim::run_des_cloud(&cfg, &SeedTree::new(1)));
+        let allocs = allocations() - before;
+        drop(r);
+        allocs
+    };
+    let (small, large) = (setup_allocs(64), setup_allocs(4_096));
+    assert_eq!(
+        small, large,
+        "a 64-node and a 4,096-node set-up must cost the same allocations"
+    );
+    assert!(
+        large <= 32,
+        "a zero-tick cloud run made {large} allocations"
+    );
+    obs::set_override(None);
+}

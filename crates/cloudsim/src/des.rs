@@ -2,42 +2,59 @@
 //!
 //! The T1/T2 cluster loop visits every node every tick — churn step,
 //! process step — which caps runs at tens of nodes. This module hosts
-//! the F12 trace world on [`simkernel::SimScheduler`]: a node is
-//! visited only when
+//! the F12 trace world on [`simkernel::SimScheduler`]. The scheduler
+//! wakes a node only when
 //!
-//! * its next stochastic churn transition falls due (a `wake_at`
-//!   planted when the previous transition fired — churn is sampled as
-//!   a *geometric gap to the next flip* instead of a Bernoulli coin
-//!   every tick, so an idle node costs nothing),
 //! * a zone-outage fault edge falls due (planted up front by
 //!   [`workloads::faults::FaultPlan::schedule_wakes`] — fault plans
 //!   schedule wake events, they are never polled), or
 //! * work arrived or remains queued (a dirty-input wake at dispatch,
 //!   a self re-wake at `now + 1` while the queue is non-empty).
 //!
+//! ## Churn is settled on touch
+//!
+//! Churn costs no wakes. A node's churn is sampled as a *geometric gap
+//! to the next flip* instead of a Bernoulli coin every tick, and the
+//! node stores the tick of its next flip. Whenever the node is next
+//! needed, `settle` applies every flip due up to that tick:
+//!
+//! * a dispatch probe or a work visit at tick `t` settles to `t`;
+//! * a zone-fault edge at `t` settles to `t − 1` before it applies the
+//!   edge, so a fault still precedes a churn flip of the same tick.
+//!
+//! This is exact. Each node's churn stream is private and drawn only
+//! at that node's own flips, so a late settle makes the same draws in
+//! the same order. Besides the node's own churn state, a flip reads
+//! only its `forced` flag, which changes only at the node's fault
+//! edges, each settled first. A flip
+//! acts on the rest of the world only by dropping the node's queue,
+//! and a node with queued work is visited, and so settled, every tick:
+//! its queue is lost at the same tick as under a per-tick sweep. An
+//! idle node's flips cost nothing until round-robin dispatch reaches
+//! it, which walks nodes in index order.
+//!
 //! ## Dense-vs-sparse equivalence
 //!
 //! The legacy dense loop stays selectable via
-//! [`simkernel::DriveMode::Dense`]. Both modes share every RNG draw
-//! site: per-node churn streams are sampled *only* at transition
-//! ticks (dense compares a precomputed `next_churn`, sparse wakes at
-//! it — the draws are identical), and arrivals come from one
-//! tick-major stream. All aggregates are integer counters until the
-//! final division, so simulation metrics are bit-identical across
-//! modes; only wall-clock and [`simkernel::ActivationStats`] differ.
+//! [`simkernel::DriveMode::Dense`]. It settles every node to `t` every
+//! tick, right after the fault edges, and visits every node, so it is
+//! the per-tick reference for the sparse drive's settle-on-touch.
+//! Arrivals come from one tick-major stream in both modes. All
+//! aggregates are integer counters until the final division, so
+//! simulation metrics are bit-identical across modes; only wall-clock
+//! and [`simkernel::ActivationStats`] differ.
 
 use rand::Rng as _;
 use simkernel::rng::{Rng, SeedTree};
 use simkernel::{ActivationStats, DriveMode, MetricSet, SimScheduler, Tick, WakeDedup};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use workloads::faults::{FaultKind, FaultPlan};
 
 /// Priority class for zone-outage fault edges (applied first).
 pub const CLASS_FAULT: u8 = 0;
-/// Priority class for churn transitions (before dispatch).
-pub const CLASS_CHURN: u8 = 1;
 /// Priority class for node work visits (after dispatch).
-pub const CLASS_NODE: u8 = 2;
+pub const CLASS_NODE: u8 = 1;
 
 /// Latency histogram width; latencies at or beyond this land in the
 /// overflow bucket (they are far past any deadline anyway).
@@ -110,12 +127,14 @@ struct DesNode {
     cap: f64,
     online: bool,
     forced: bool,
-    /// Tick of the next stochastic churn transition (`u64::MAX` =
-    /// never, when the corresponding probability is zero).
+    /// Tick of the next stochastic churn transition, not yet applied
+    /// (`u64::MAX` = never, when the corresponding probability is
+    /// zero).
     next_churn: u64,
     /// (arrival tick, remaining work) FIFO.
     queue: VecDeque<(u64, f64)>,
-    /// Per-node churn RNG stream — sampled only at transition ticks.
+    /// Per-node churn RNG stream — drawn only at this node's
+    /// transitions, whenever they are settled.
     rng: Rng,
     /// Last tick this node's work visit ran (dedupes the self re-wake
     /// against same-tick dirty-input wakes). `u64::MAX` = never.
@@ -125,20 +144,47 @@ struct DesNode {
 /// Ticks until the next success of a Bernoulli(`p`) process, sampled
 /// by inverting the geometric CDF — one draw replaces `gap` per-tick
 /// coin flips while following the exact same distribution.
-fn geometric_gap(p: f64, rng: &mut Rng) -> u64 {
-    if p <= 0.0 {
-        return u64::MAX;
+#[derive(Clone, Copy)]
+struct GeometricGap {
+    p: f64,
+    /// `ln(1 − p)`, computed once per run rather than per draw.
+    ln_q: f64,
+}
+
+impl GeometricGap {
+    fn new(p: f64) -> Self {
+        Self {
+            p,
+            ln_q: (1.0 - p).ln(),
+        }
     }
-    if p >= 1.0 {
-        return 1;
+
+    /// One gap: `u64::MAX` (never) when `p ≤ 0`, `1` when `p ≥ 1`,
+    /// otherwise one draw from `rng`.
+    fn sample(self, rng: &mut Rng) -> u64 {
+        if self.p <= 0.0 {
+            return u64::MAX;
+        }
+        if self.p >= 1.0 {
+            return 1;
+        }
+        let u: f64 = rng.gen();
+        let g = ((1.0 - u).ln() / self.ln_q).floor();
+        if g >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            (g as u64).saturating_add(1)
+        }
     }
-    let u: f64 = rng.gen();
-    let g = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-    if g >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        (g as u64).saturating_add(1)
-    }
+}
+
+/// The gap samplers of the two churn directions.
+#[derive(Clone, Copy)]
+struct Churn {
+    /// Online → offline, drawn while the node is online.
+    off: GeometricGap,
+    /// Offline → online, drawn while the node is offline.
+    on: GeometricGap,
 }
 
 /// Runs an F12 trace scenario (see [`DesCloudResult`] for metric
@@ -155,28 +201,34 @@ pub fn run_des_cloud(cfg: &DesCloudConfig, seeds: &SeedTree) -> DesCloudResult {
     let sparse = cfg.drive == DriveMode::Sparse;
 
     let mut sched: SimScheduler<usize> = SimScheduler::new();
+    let churn = Churn {
+        off: GeometricGap::new(cfg.churn_off),
+        on: GeometricGap::new(cfg.churn_on),
+    };
 
     // Setup draws happen in a fixed order (caps, then per-node churn
     // streams, then the initial transition gaps) so both drive modes
-    // consume identical randomness.
+    // consume identical randomness. One label buffer, sized for any
+    // `churn/{usize}`, serves every node's stream.
     let mut cap_rng = seeds.rng("caps");
+    let mut label = String::with_capacity(32);
     let mut nodes: Vec<DesNode> = (0..n)
-        .map(|i| DesNode {
-            cap: cap_rng.gen_range(cfg.cap_range.0..cfg.cap_range.1),
-            online: true,
-            forced: false,
-            next_churn: u64::MAX,
-            queue: VecDeque::new(),
-            rng: seeds.rng(&format!("churn/{i}")),
-            last_visit: u64::MAX,
+        .map(|i| {
+            label.clear();
+            let _ = write!(label, "churn/{i}");
+            DesNode {
+                cap: cap_rng.gen_range(cfg.cap_range.0..cfg.cap_range.1),
+                online: true,
+                forced: false,
+                next_churn: u64::MAX,
+                queue: VecDeque::new(),
+                rng: seeds.rng(&label),
+                last_visit: u64::MAX,
+            }
         })
         .collect();
-    for (i, node) in nodes.iter_mut().enumerate() {
-        let gap = geometric_gap(cfg.churn_off, &mut node.rng);
-        node.next_churn = gap;
-        if sparse && gap != u64::MAX {
-            sched.wake_at(Tick(gap), CLASS_CHURN, i);
-        }
+    for node in &mut nodes {
+        node.next_churn = churn.off.sample(&mut node.rng);
     }
 
     // Zone-outage wiring: per-node forced intervals, with the onset
@@ -225,41 +277,40 @@ pub fn run_des_cloud(cfg: &DesCloudConfig, seeds: &SeedTree) -> DesCloudResult {
         let now = Tick(t);
         sched.advance(now);
 
-        // 1. Fault edges, then (sparse) churn transitions — everything
-        // due before dispatch, stopping at the node-visit class.
+        // 1. Fault edges due now, drained before the node-visit class.
+        // Churn transitions due at `t` are settled after them.
         while sched
             .peek()
-            .is_some_and(|(at, c)| at <= now && c <= CLASS_CHURN)
+            .is_some_and(|(at, c)| at <= now && c == CLASS_FAULT)
         {
-            let Some((_, class, i)) = sched.pop_due(now) else {
+            let Some((_, _, i)) = sched.pop_due(now) else {
                 break;
             };
             perf.wakes += 1;
-            match class {
-                CLASS_FAULT => {
-                    let node = &mut nodes[i];
-                    let was_forced = node.forced;
-                    node.forced = intervals[i].iter().any(|&(s, e)| s <= t && t < e);
-                    if node.forced && node.online {
-                        node.online = false;
-                        lost += node.queue.len() as u64;
-                        node.queue.clear();
-                    } else if !node.forced && was_forced {
-                        // Deterministic repair at the outage deadline.
-                        node.online = true;
-                    }
-                }
-                _ => churn_transition(&mut nodes[i], t, cfg, &mut lost, sparse, &mut sched, i),
+            let node = &mut nodes[i];
+            if sparse {
+                // Apply the transitions before this tick under the old
+                // `forced` flag; those at `t` follow the edge. None is
+                // ever due at tick 0, so `saturating_sub` is exact.
+                // Dense settled every node to `t − 1` last tick, which
+                // keeps it an independent reference for this order.
+                lost += settle(node, t.saturating_sub(1), churn);
+            }
+            let was_forced = node.forced;
+            node.forced = intervals[i].iter().any(|&(s, e)| s <= t && t < e);
+            if node.forced && node.online {
+                node.online = false;
+                lost += node.queue.len() as u64;
+                node.queue.clear();
+            } else if !node.forced && was_forced {
+                // Deterministic repair at the outage deadline.
+                node.online = true;
             }
         }
         if !sparse {
-            // Dense churn: scan every node for a due transition. The
-            // comparison is against the same precomputed `next_churn`
-            // the sparse wake fires at, so the draws are identical.
-            for (i, node) in nodes.iter_mut().enumerate() {
-                if node.next_churn == t {
-                    churn_transition(node, t, cfg, &mut lost, sparse, &mut sched, i);
-                }
+            // Dense: every node's transitions at `t`, every tick.
+            for node in &mut nodes {
+                lost += settle(node, t, churn);
             }
         }
 
@@ -280,6 +331,7 @@ pub fn run_des_cloud(cfg: &DesCloudConfig, seeds: &SeedTree) -> DesCloudResult {
             let mut target = None;
             for probe in 0..n {
                 let i = (cursor + probe) % n;
+                lost += settle(&mut nodes[i], t, churn);
                 if nodes[i].online {
                     target = Some(i);
                     cursor = (i + 1) % n;
@@ -309,6 +361,7 @@ pub fn run_des_cloud(cfg: &DesCloudConfig, seeds: &SeedTree) -> DesCloudResult {
                 }
                 nodes[i].last_visit = t;
                 perf.visits += 1;
+                lost += settle(&mut nodes[i], t, churn);
                 process_visit(
                     &mut nodes[i],
                     t,
@@ -369,38 +422,34 @@ pub fn run_des_cloud(cfg: &DesCloudConfig, seeds: &SeedTree) -> DesCloudResult {
     DesCloudResult { metrics, perf }
 }
 
-/// One churn transition for `node` at tick `t`: toggle (unless a
+/// Applies every churn transition of `node` due at or before tick
+/// `upto`, in tick order. Returns the requests lost by going offline.
+fn settle(node: &mut DesNode, upto: u64, churn: Churn) -> u64 {
+    let mut lost = 0;
+    while node.next_churn <= upto {
+        lost += flip(node, churn);
+    }
+    lost
+}
+
+/// The churn transition due at `node.next_churn`: toggle (unless a
 /// forced outage pins the node), then sample the gap to the next
 /// transition from the new state's probability. Exactly one RNG draw
-/// per transition, in both drive modes.
-fn churn_transition(
-    node: &mut DesNode,
-    t: u64,
-    cfg: &DesCloudConfig,
-    lost: &mut u64,
-    sparse: bool,
-    sched: &mut SimScheduler<usize>,
-    i: usize,
-) {
+/// per transition. Returns the requests lost by going offline.
+fn flip(node: &mut DesNode, churn: Churn) -> u64 {
+    let mut lost = 0;
     if !node.forced {
         if node.online {
             node.online = false;
-            *lost += node.queue.len() as u64;
+            lost = node.queue.len() as u64;
             node.queue.clear();
         } else {
             node.online = true;
         }
     }
-    let p = if node.online {
-        cfg.churn_off
-    } else {
-        cfg.churn_on
-    };
-    let gap = geometric_gap(p, &mut node.rng);
-    node.next_churn = t.saturating_add(gap);
-    if sparse && node.next_churn != u64::MAX {
-        sched.wake_at(Tick(node.next_churn), CLASS_CHURN, i);
-    }
+    let gap = if node.online { churn.off } else { churn.on }.sample(&mut node.rng);
+    node.next_churn = node.next_churn.saturating_add(gap);
+    lost
 }
 
 /// One work visit: spend this tick's capacity on the FIFO queue,
@@ -466,6 +515,52 @@ mod tests {
             let sparse = run(&cfg, seed);
             assert_eq!(dense.metrics, sparse.metrics);
             assert!(sparse.perf.visits < dense.perf.visits);
+        }
+    }
+
+    #[test]
+    fn churn_alone_costs_no_wakes() {
+        // No arrivals and no faults: churn is the only thing happening,
+        // and settle-on-touch must make it cost nothing in sparse mode.
+        let mut cfg = DesCloudConfig::at_scale(256, 500, 0.0);
+        cfg.churn_off = 0.3;
+        cfg.churn_on = 0.3;
+        cfg.drive = DriveMode::Dense;
+        let dense = run(&cfg, 4);
+        cfg.drive = DriveMode::Sparse;
+        let sparse = run(&cfg, 4);
+        assert_eq!(sparse.perf.wakes, 0);
+        assert_eq!(sparse.perf.visits, 0);
+        assert_eq!(dense.metrics, sparse.metrics);
+    }
+
+    #[test]
+    fn outage_edges_coinciding_with_churn_match_dense() {
+        // Overlapping outages whose onset and repair edges fall on churn
+        // transitions. At 1.0/1.0 every node flips every tick, so every
+        // edge coincides with a flip; a fault edge that settled the flip
+        // of its own tick before applying itself would diverge from the
+        // dense per-tick reference.
+        let faults = FaultPlan::none()
+            .and(FaultEvent::zone_outage(Tick(50), 0, 24, 100))
+            .and(FaultEvent::zone_outage(Tick(101), 8, 24, 80))
+            .and(FaultEvent::zone_outage(Tick(150), 16, 16, 40));
+        for (off, on) in [(1.0, 1.0), (0.5, 0.5)] {
+            let mut cfg = DesCloudConfig::at_scale(48, 400, 3.0);
+            cfg.churn_off = off;
+            cfg.churn_on = on;
+            cfg.faults = faults.clone();
+            for seed in [1, 9] {
+                cfg.drive = DriveMode::Dense;
+                let dense = run(&cfg, seed);
+                cfg.drive = DriveMode::Sparse;
+                let sparse = run(&cfg, seed);
+                assert_eq!(
+                    dense.metrics, sparse.metrics,
+                    "churn {off}/{on}, seed {seed}"
+                );
+                assert!(sparse.metrics.get("lost").unwrap() > 0.0);
+            }
         }
     }
 
@@ -538,14 +633,18 @@ mod tests {
     #[test]
     fn geometric_gap_edge_cases() {
         let mut rng = SeedTree::new(1).rng("gap");
-        assert_eq!(geometric_gap(0.0, &mut rng), u64::MAX);
-        assert_eq!(geometric_gap(1.0, &mut rng), 1);
+        assert_eq!(GeometricGap::new(0.0).sample(&mut rng), u64::MAX);
+        assert_eq!(GeometricGap::new(-0.5).sample(&mut rng), u64::MAX);
+        assert_eq!(GeometricGap::new(1.0).sample(&mut rng), 1);
+        assert_eq!(GeometricGap::new(1.5).sample(&mut rng), 1);
+        let half = GeometricGap::new(0.5);
         for _ in 0..100 {
-            assert!(geometric_gap(0.5, &mut rng) >= 1);
+            assert!(half.sample(&mut rng) >= 1);
         }
         // Mean of Geometric(p) is 1/p.
+        let tenth = GeometricGap::new(0.1);
         let mean = (0..4000)
-            .map(|_| geometric_gap(0.1, &mut rng) as f64)
+            .map(|_| tenth.sample(&mut rng) as f64)
             .sum::<f64>()
             / 4000.0;
         assert!((mean - 10.0).abs() < 1.0, "geometric mean ≈ 1/p: {mean}");
