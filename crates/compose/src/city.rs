@@ -238,6 +238,8 @@ pub fn run_city_with_clock<K: ClockSource>(
         .iter()
         .map(|c| cfg.ingress(c.position().x))
         .collect();
+    // Sensor-health keys, named once rather than on every reading.
+    let cam_keys: Vec<String> = (0..cfg.cameras).map(|c| format!("cam{c}")).collect();
     let mut camera_down = vec![false; cfg.cameras];
     let mut held = vec![0.5f64; cfg.cameras];
     let mut cam_degraded = vec![false; cfg.cameras];
@@ -344,6 +346,17 @@ pub fn run_city_with_clock<K: ClockSource>(
     let faults = cfg.campaign.faults().clone();
     let channel = cfg.campaign.channel().clone();
 
+    // Per-tick buffers, refilled every tick.
+    let mut positions: Vec<Point> = Vec::with_capacity(total_pop);
+    let mut congestion: Vec<f64> = Vec::with_capacity(n);
+    let mut owned: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cfg.cameras];
+    let mut cam_readings: Vec<Option<(f64, Option<f64>)>> = vec![None; cfg.cameras];
+    let mut consensus: Vec<Option<f64>> = Vec::with_capacity(cfg.cameras);
+    let mut arrivals: Vec<(usize, usize, Pkt)> = Vec::new();
+    // Hop logs of packets that left the network, for reuse by new
+    // packets. It never holds more logs than were once in flight.
+    let mut spare_hop_logs: Vec<Vec<(usize, Tick)>> = Vec::new();
+
     loop {
         let now = clock.now();
         if now.value() >= cfg.steps {
@@ -402,7 +415,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         // --- Population: diurnal activity plus the flash crowd. ----
         let in_crowd = t >= cfg.crowd_window.0 && t < cfg.crowd_window.1;
         let n_active = (diurnal.rate(now).round() as usize).clamp(1, cfg.wanderers);
-        let mut positions: Vec<Point> = Vec::with_capacity(total_pop);
+        positions.clear();
         for w in &mut wanderers {
             positions.push(w.step(&mut wander_rng));
         }
@@ -425,10 +438,12 @@ pub fn run_city_with_clock<K: ClockSource>(
             s.baseline.maintain(&graph, now, qlen);
         }
         let cutoff = QUEUE_CAP / 2;
-        let congestion: Vec<f64> = (0..n)
-            .map(|u| queues[u].iter().map(VecDeque::len).max().unwrap_or(0))
-            .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
-            .collect();
+        congestion.clear();
+        congestion.extend(
+            (0..n)
+                .map(|u| queues[u].iter().map(VecDeque::len).max().unwrap_or(0))
+                .map(|c| if c >= cutoff { c as f64 } else { 0.0 }),
+        );
         router.set_congestion(&congestion);
         if let Some(s) = &mut supervision {
             s.baseline.set_congestion(&congestion);
@@ -448,7 +463,9 @@ pub fn run_city_with_clock<K: ClockSource>(
         let qmul = if head_shed >= 2 { 0.8 } else { 1.0 };
         // Ownership: each active wanderer is owned by the best-quality
         // live, shuttered camera that sees it.
-        let mut owned: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cfg.cameras];
+        for dets in &mut owned {
+            dets.clear();
+        }
         for (i, &pos) in positions.iter().enumerate() {
             if !active(i) {
                 continue;
@@ -473,7 +490,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         // Pass 1 — per-camera mean quality readings, with any sensor
         // fault applied. `held` is the last clean mean (StuckAt holds
         // it; it also stands in when a naive stack gets a dropout).
-        let mut cam_readings: Vec<Option<(f64, Option<f64>)>> = vec![None; cfg.cameras];
+        cam_readings.fill(None);
         for (c, dets) in owned.iter().enumerate() {
             if dets.is_empty() {
                 continue;
@@ -496,18 +513,17 @@ pub fn run_city_with_clock<K: ClockSource>(
             .filter(|&c| !cam_degraded[c])
             .filter_map(|c| cam_readings[c].and_then(|(_, cor)| cor.map(|v| (c, v))))
             .fold((0.0f64, 0u32), |(s, k), (_, v)| (s + v, k + 1));
-        let consensus: Vec<Option<f64>> = (0..cfg.cameras)
-            .map(|c| {
-                let own = (!cam_degraded[c])
-                    .then(|| cam_readings[c].and_then(|(_, cor)| cor))
-                    .flatten();
-                let (s, k) = match own {
-                    Some(v) => (cons_sum - v, cons_n - 1),
-                    None => (cons_sum, cons_n),
-                };
-                (k > 0).then(|| s / f64::from(k))
-            })
-            .collect();
+        consensus.clear();
+        consensus.extend((0..cfg.cameras).map(|c| {
+            let own = (!cam_degraded[c])
+                .then(|| cam_readings[c].and_then(|(_, cor)| cor))
+                .flatten();
+            let (s, k) = match own {
+                Some(v) => (cons_sum - v, cons_n - 1),
+                None => (cons_sum, cons_n),
+            };
+            (k > 0).then(|| s / f64::from(k))
+        }));
         // Pass 2 — health monitoring and detection emission. The
         // camera-level mean is the monitored signal; a quarantined or
         // dropped-out camera's detections carry the consensus (else
@@ -519,13 +535,8 @@ pub fn run_city_with_clock<K: ClockSource>(
             let used_mean = match &mut health {
                 Some(h) => {
                     let reference = consensus[c];
-                    let reading = h.observe_with_reference(
-                        &format!("cam{c}"),
-                        corrupted,
-                        reference,
-                        now,
-                        &mut log,
-                    );
+                    let reading =
+                        h.observe_with_reference(&cam_keys[c], corrupted, reference, now, &mut log);
                     cam_degraded[c] = reading.degraded;
                     if reading.substituted {
                         quarantine_subs += 1;
@@ -593,6 +604,9 @@ pub fn run_city_with_clock<K: ClockSource>(
                     }
                     continue;
                 }
+                let mut hop_log = spare_hop_logs.pop().unwrap_or_default();
+                hop_log.clear();
+                hop_log.push((src, now));
                 queues[src][k].push_back(Pkt {
                     dst,
                     zone,
@@ -602,13 +616,12 @@ pub fn run_city_with_clock<K: ClockSource>(
                     smart,
                     prev: None,
                     ttl: TTL,
-                    hop_log: vec![(src, now)],
+                    hop_log,
                 });
             }
         }
 
         // --- CPN: move packets, deliver at gateways. ---------------
-        let mut arrivals: Vec<(usize, usize, Pkt)> = Vec::new();
         for (u, links) in queues.iter_mut().enumerate() {
             for (k, q) in links.iter_mut().enumerate() {
                 let v = graph.neighbours(u)[k];
@@ -623,106 +636,112 @@ pub fn run_city_with_clock<K: ClockSource>(
                 }
             }
         }
-        for (u, v, mut pkt) in arrivals {
-            let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
-            let hop_delay = (now.value().saturating_sub(entered.value())).max(1) as f64;
-            if !frozen {
-                router.reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
-            }
-            if v == pkt.dst && zone_dead[pkt.zone] {
-                // Nobody home: a dead backend cannot consume the
-                // packet, so it bounces back into the mesh and
-                // wanders until its TTL burns out. Undeliverable
-                // traffic clogging the links around a dead gateway is
-                // the heart of the F9 cascade — the aware stack
-                // avoids creating it by re-homing at emission. The
-                // bounce itself is observable mesh telemetry (like the
-                // queue lengths the router senses) and feeds the
-                // controller's dark-zone evidence.
-                bounce_now[pkt.zone] += 1;
-                pkt.ttl = pkt.ttl.saturating_sub(1);
+        for (u, v, mut pkt) in arrivals.drain(..) {
+            // The queue at `v` the packet moves on to, or `None` when
+            // it leaves the network here.
+            let next_queue = 'hop: {
+                let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
+                let hop_delay = (now.value().saturating_sub(entered.value())).max(1) as f64;
+                if !frozen {
+                    router.reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
+                }
+                if v == pkt.dst && zone_dead[pkt.zone] {
+                    // Nobody home: a dead backend cannot consume the
+                    // packet, so it bounces back into the mesh and
+                    // wanders until its TTL burns out. Undeliverable
+                    // traffic clogging the links around a dead gateway is
+                    // the heart of the F9 cascade — the aware stack
+                    // avoids creating it by re-homing at emission. The
+                    // bounce itself is observable mesh telemetry (like the
+                    // queue lengths the router senses) and feeds the
+                    // controller's dark-zone evidence.
+                    bounce_now[pkt.zone] += 1;
+                    pkt.ttl = pkt.ttl.saturating_sub(1);
+                    if pkt.ttl == 0 {
+                        net_dropped += 1;
+                        if !frozen {
+                            router.reinforce_drop(&graph, u, v, pkt.dst);
+                        }
+                        break 'hop None;
+                    }
+                    let back = (0..queues[v].len()).min_by_key(|&k| (queues[v][k].len(), k));
+                    match back {
+                        Some(k) if queues[v][k].len() < QUEUE_CAP => break 'hop Some(k),
+                        _ => {
+                            net_dropped += 1;
+                            break 'hop None;
+                        }
+                    }
+                }
+                if v == pkt.dst {
+                    delivered_net += 1;
+                    tick_transit_sum += now.value().saturating_sub(pkt.created.value()) as f64;
+                    tick_transit_n += 1;
+                    if !frozen {
+                        router.reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
+                    }
+                    admit(
+                        cfg,
+                        &mut cores,
+                        &zone_dead,
+                        &throttled,
+                        pkt.zone,
+                        pkt.quality,
+                        pkt.q_true,
+                        pkt.created,
+                        &mut work_rng,
+                        &mut next_task_id,
+                        &mut task_quality,
+                        &mut rejected,
+                        pkt.ttl as usize,
+                    );
+                    break 'hop None;
+                }
+                pkt.ttl -= 1;
                 if pkt.ttl == 0 {
                     net_dropped += 1;
                     if !frozen {
                         router.reinforce_drop(&graph, u, v, pkt.dst);
                     }
-                    continue;
+                    break 'hop None;
                 }
-                let back = (0..queues[v].len()).min_by_key(|&k| (queues[v][k].len(), k));
-                match back {
-                    Some(k) if queues[v][k].len() < QUEUE_CAP => {
-                        pkt.prev = Some(u);
-                        pkt.hop_log.push((v, now));
-                        queues[v][k].push_back(pkt);
+                let hop = if benched {
+                    supervision
+                        .as_ref()
+                        .expect("benched implies supervised")
+                        .baseline
+                        .next_hop(&graph, v, pkt.dst, Some(u), false, &mut route_rng)
+                } else {
+                    router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng)
+                };
+                let Some(w) = hop else {
+                    net_dropped += 1;
+                    if !frozen {
+                        router.reinforce_drop(&graph, u, v, pkt.dst);
                     }
-                    _ => {
-                        net_dropped += 1;
+                    break 'hop None;
+                };
+                let Some(k) = graph.neighbours(v).iter().position(|&x| x == w) else {
+                    net_dropped += 1;
+                    break 'hop None;
+                };
+                if queues[v][k].len() >= QUEUE_CAP {
+                    net_dropped += 1;
+                    if !frozen {
+                        router.reinforce_drop(&graph, v, w, pkt.dst);
                     }
+                    break 'hop None;
                 }
-                continue;
-            }
-            if v == pkt.dst {
-                delivered_net += 1;
-                tick_transit_sum += now.value().saturating_sub(pkt.created.value()) as f64;
-                tick_transit_n += 1;
-                if !frozen {
-                    router.reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
-                }
-                admit(
-                    cfg,
-                    &mut cores,
-                    &zone_dead,
-                    &throttled,
-                    pkt.zone,
-                    pkt.quality,
-                    pkt.q_true,
-                    pkt.created,
-                    &mut work_rng,
-                    &mut next_task_id,
-                    &mut task_quality,
-                    &mut rejected,
-                    pkt.ttl as usize,
-                );
-                continue;
-            }
-            pkt.ttl -= 1;
-            if pkt.ttl == 0 {
-                net_dropped += 1;
-                if !frozen {
-                    router.reinforce_drop(&graph, u, v, pkt.dst);
-                }
-                continue;
-            }
-            let hop = if benched {
-                supervision
-                    .as_ref()
-                    .expect("benched implies supervised")
-                    .baseline
-                    .next_hop(&graph, v, pkt.dst, Some(u), false, &mut route_rng)
-            } else {
-                router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng)
+                Some(k)
             };
-            let Some(w) = hop else {
-                net_dropped += 1;
-                if !frozen {
-                    router.reinforce_drop(&graph, u, v, pkt.dst);
+            match next_queue {
+                Some(k) => {
+                    pkt.prev = Some(u);
+                    pkt.hop_log.push((v, now));
+                    queues[v][k].push_back(pkt);
                 }
-                continue;
-            };
-            let Some(k) = graph.neighbours(v).iter().position(|&x| x == w) else {
-                net_dropped += 1;
-                continue;
-            };
-            if queues[v][k].len() >= QUEUE_CAP {
-                net_dropped += 1;
-                if !frozen {
-                    router.reinforce_drop(&graph, v, w, pkt.dst);
-                }
-                continue;
+                None => spare_hop_logs.push(pkt.hop_log),
             }
-            pkt.prev = Some(u);
-            pkt.hop_log.push((v, now));
-            queues[v][k].push_back(pkt);
         }
 
         // --- Backend: service detections. --------------------------
@@ -972,14 +991,14 @@ pub fn run_city_with_clock<K: ClockSource>(
                 realized
             };
             let error = (estimate - realized).abs();
-            s.sup.set_model(router.clone());
+            s.sup.set_model_from(&router);
             let verdict = s.sup.observe(
                 now,
                 Evidence::scored(estimate, error).with_input(realized),
                 &mut log,
             );
             if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                router = s.sup.model().clone();
+                router.clone_from(s.sup.model());
             }
         }
         drop(supervise_span);

@@ -319,10 +319,14 @@ impl SensorHealth {
         log: &mut ExplanationLog,
     ) -> HealthReading {
         let cfg = self.cfg.clone();
-        let m = self
-            .monitors
-            .entry(key.to_string())
-            .or_insert_with(|| Monitor::new(cfg.residual_alpha));
+        // Only a key seen for the first time is copied into the map.
+        let m = match self.monitors.get_mut(key) {
+            Some(m) => m,
+            None => self
+                .monitors
+                .entry(key.to_owned())
+                .or_insert_with(|| Monitor::new(cfg.residual_alpha)),
+        };
 
         // Masked quarantine (counterfactual replay, see
         // [`crate::replay`]): readings pass through raw, holding the

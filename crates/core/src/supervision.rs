@@ -386,6 +386,19 @@ impl<C: Clone> Supervisor<C> {
         self.controller = Arc::new(c);
     }
 
+    /// Overwrites the supervised model with a copy of `c`, leaving the
+    /// checkpoint alone. While no checkpoint shares the model, the
+    /// copy goes into the model's own storage through
+    /// [`Clone::clone_from`], so a substrate that syncs its live model
+    /// in every tick reuses one set of buffers; otherwise this is
+    /// [`Supervisor::set_model`] of a fresh clone.
+    pub fn set_model_from(&mut self, c: &C) {
+        match Arc::get_mut(&mut self.controller) {
+            Some(model) => model.clone_from(c),
+            None => self.controller = Arc::new(c.clone()),
+        }
+    }
+
     /// Who currently holds control.
     #[must_use]
     pub fn source(&self) -> ControlSource {

@@ -213,25 +213,7 @@ impl Graph {
     /// `dst` (`None` for `dst` itself and unreachable nodes).
     #[must_use]
     pub fn bfs_next_hops(&self, dst: usize) -> Vec<Option<usize>> {
-        let n = self.adj.len();
-        let mut next = vec![None; n];
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = VecDeque::new();
-        dist[dst] = 0;
-        queue.push_back(dst);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u] {
-                if !self.edge_up(u, v) {
-                    continue;
-                }
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    next[v] = Some(u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        next
+        bfs_next_hops_over(self.len(), dst, |u| self.hop_costs(u, |_, _| 1.0))
     }
 
     /// For every node, the next hop to `dst` minimising the sum of
@@ -245,36 +227,90 @@ impl Graph {
         dst: usize,
         weight: W,
     ) -> Vec<Option<usize>> {
-        let n = self.adj.len();
-        let mut next = vec![None; n];
-        let mut dist = vec![f64::INFINITY; n];
-        let mut visited = vec![false; n];
-        dist[dst] = 0.0;
-        for _ in 0..n {
-            // Extract the unvisited node with minimal distance.
-            let u = (0..n)
-                .filter(|&i| !visited[i] && dist[i].is_finite())
-                .min_by(|&a, &b| {
-                    dist[a]
-                        .partial_cmp(&dist[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-            let Some(u) = u else { break };
-            visited[u] = true;
-            for &v in &self.adj[u] {
-                if !self.edge_up(u, v) {
-                    continue;
-                }
-                let w = weight(v, u); // cost of traversing v → u
-                debug_assert!(w > 0.0, "weights must be positive");
-                if dist[u] + w < dist[v] {
-                    dist[v] = dist[u] + w;
-                    next[v] = Some(u);
-                }
+        weighted_next_hops_over(self.len(), dst, |u| self.hop_costs(u, &weight))
+    }
+
+    /// `u`'s adjacency list, each neighbour `v` paired with the cost
+    /// `weight(v, u)` of the hop `v → u`, or `f64::INFINITY` while the
+    /// link is down. `weight` is only called for links that are up.
+    pub(crate) fn hop_costs<'a, W: Fn(usize, usize) -> f64 + 'a>(
+        &'a self,
+        u: usize,
+        weight: W,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        self.adj[u].iter().map(move |&v| {
+            let cost = if self.link_down(u, v) {
+                f64::INFINITY
+            } else {
+                weight(v, u)
+            };
+            (v, cost)
+        })
+    }
+}
+
+/// [`Graph::bfs_next_hops`] over `n` nodes whose adjacency `links(u)`
+/// yields `(v, cost of v → u)` in adjacency order; an infinite cost
+/// marks a link that is down, any finite one counts as one hop.
+pub(crate) fn bfs_next_hops_over<I: Iterator<Item = (usize, f64)>>(
+    n: usize,
+    dst: usize,
+    links: impl Fn(usize) -> I,
+) -> Vec<Option<usize>> {
+    let mut next = vec![None; n];
+    let mut dist = vec![usize::MAX; n];
+    let mut queue = VecDeque::new();
+    dist[dst] = 0;
+    queue.push_back(dst);
+    while let Some(u) = queue.pop_front() {
+        for (v, cost) in links(u) {
+            if cost.is_infinite() {
+                continue;
+            }
+            if dist[v] == usize::MAX {
+                dist[v] = dist[u] + 1;
+                next[v] = Some(u);
+                queue.push_back(v);
             }
         }
-        next
     }
+    next
+}
+
+/// [`Graph::weighted_next_hops`] over the adjacency `links` of
+/// [`bfs_next_hops_over`]. Finite costs must be positive.
+pub(crate) fn weighted_next_hops_over<I: Iterator<Item = (usize, f64)>>(
+    n: usize,
+    dst: usize,
+    links: impl Fn(usize) -> I,
+) -> Vec<Option<usize>> {
+    let mut next = vec![None; n];
+    let mut dist = vec![f64::INFINITY; n];
+    let mut visited = vec![false; n];
+    dist[dst] = 0.0;
+    for _ in 0..n {
+        // Extract the unvisited node with minimal distance.
+        let u = (0..n)
+            .filter(|&i| !visited[i] && dist[i].is_finite())
+            .min_by(|&a, &b| {
+                dist[a]
+                    .partial_cmp(&dist[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        let Some(u) = u else { break };
+        visited[u] = true;
+        for (v, w) in links(u) {
+            if w.is_infinite() {
+                continue;
+            }
+            debug_assert!(w > 0.0, "weights must be positive");
+            if dist[u] + w < dist[v] {
+                dist[v] = dist[u] + w;
+                next[v] = Some(u);
+            }
+        }
+    }
+    next
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! best estimates. Drops are punished, so attacked/congested links are
 //! unlearned quickly.
 
-use crate::graph::Graph;
+use crate::graph::{bfs_next_hops_over, weighted_next_hops_over, Graph};
 use rand::Rng as _;
 use simkernel::rng::Rng;
 use simkernel::Tick;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Routing strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,24 +78,20 @@ impl RoutingStrategy {
         }
     }
 
-    /// Instantiates the runtime router for `graph`.
+    /// Instantiates the runtime router for `graph`. Table routers
+    /// snapshot which links are up now and route on hop counts over
+    /// that snapshot until their first recompute.
     #[must_use]
     pub fn build(&self, graph: &Graph) -> Router {
         let n = graph.len();
         match *self {
             RoutingStrategy::StaticShortest => Router {
-                kind: RouterKind::Table {
-                    next: all_bfs_tables(graph),
-                    period: None,
-                },
+                kind: RouterKind::Table(Table::hop_counts(graph, None)),
             },
             RoutingStrategy::Periodic { period } => {
                 assert!(period > 0, "period must be positive");
                 Router {
-                    kind: RouterKind::Table {
-                        next: all_bfs_tables(graph),
-                        period: Some(period),
-                    },
+                    kind: RouterKind::Table(Table::hop_counts(graph, Some(period))),
                 }
             }
             RoutingStrategy::Cpn {
@@ -140,13 +136,6 @@ impl RoutingStrategy {
     }
 }
 
-fn all_bfs_tables(graph: &Graph) -> Vec<Vec<Option<usize>>> {
-    // next[dst][node] = next hop from node toward dst.
-    (0..graph.len())
-        .map(|dst| graph.bfs_next_hops(dst))
-        .collect()
-}
-
 fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
     let mut dist = vec![usize::MAX; graph.len()];
     let mut q = std::collections::VecDeque::new();
@@ -166,6 +155,71 @@ fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
     dist
 }
 
+/// A table router's next-hop tables, built lazily.
+///
+/// A recompute does not route: it only snapshots, per adjacency slot,
+/// the neighbour and the cost of the hop from it (infinite while the
+/// link is down). `next[dst]` is computed from that snapshot on the
+/// first lookup toward `dst` after it was taken, so a recompute costs
+/// one pass over the links and only destinations that are actually
+/// routed to pay for a shortest-path search. Lookups see the network
+/// as it was at the snapshot, exactly as an eagerly built table would.
+#[derive(Clone)]
+struct Table {
+    /// `slots[start[u]..start[u + 1]]` are `u`'s links in adjacency
+    /// order, as `(neighbour v, cost of v → u)`.
+    start: Vec<usize>,
+    slots: Vec<(usize, f64)>,
+    /// Whether the costs are queue-aware (Dijkstra) rather than plain
+    /// hop counts (breadth-first search, whose tie-breaking differs).
+    weighted: bool,
+    /// `next[dst][node]`: next hop from `node` toward `dst`.
+    next: Vec<OnceLock<Vec<Option<usize>>>>,
+    period: Option<u64>,
+}
+
+impl Table {
+    /// A hop-count table over the links of `graph` that are up now.
+    fn hop_counts(graph: &Graph, period: Option<u64>) -> Self {
+        let mut table = Self {
+            start: Vec::with_capacity(graph.len() + 1),
+            slots: Vec::new(),
+            weighted: false,
+            next: (0..graph.len()).map(|_| OnceLock::new()).collect(),
+            period,
+        };
+        table.snapshot(graph, |_, _| 1.0);
+        table
+    }
+
+    /// Replaces the snapshot with `graph`'s links at `cost` and drops
+    /// every table built from the old one.
+    fn snapshot(&mut self, graph: &Graph, cost: impl Fn(usize, usize) -> f64) {
+        self.start.clear();
+        self.slots.clear();
+        for u in 0..graph.len() {
+            self.start.push(self.slots.len());
+            self.slots.extend(graph.hop_costs(u, &cost));
+        }
+        self.start.push(self.slots.len());
+        for next in &mut self.next {
+            next.take();
+        }
+    }
+
+    fn next_hop(&self, at: usize, dst: usize) -> Option<usize> {
+        let n = self.next.len();
+        let links = |u: usize| self.slots[self.start[u]..self.start[u + 1]].iter().copied();
+        self.next[dst].get_or_init(|| {
+            if self.weighted {
+                weighted_next_hops_over(n, dst, links)
+            } else {
+                bfs_next_hops_over(n, dst, links)
+            }
+        })[at]
+    }
+}
+
 /// The CPN router's learned delay estimates, one dense table.
 ///
 /// Row `(u, dst)` holds `deg(u)` cells — the estimated remaining delay
@@ -173,11 +227,25 @@ fn hop_distances(graph: &Graph, dst: usize) -> Vec<usize> {
 /// at `base[u] + dst·deg(u)` of one flat `cells` buffer. The row
 /// offsets depend only on the topology, so clones share them and a
 /// clone copies just the cells.
-#[derive(Clone)]
 struct QTable {
     cells: Vec<f64>,
     /// `(base[u], deg(u))` per router.
     rows: Arc<[(usize, usize)]>,
+}
+
+impl Clone for QTable {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            rows: Arc::clone(&self.rows),
+        }
+    }
+
+    /// Copies the cells into this table's own buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.cells.clone_from(&source.cells);
+        self.rows.clone_from(&source.rows);
+    }
 }
 
 impl QTable {
@@ -220,10 +288,7 @@ impl QTable {
 
 #[derive(Clone)]
 enum RouterKind {
-    Table {
-        next: Vec<Vec<Option<usize>>>,
-        period: Option<u64>,
-    },
+    Table(Table),
     Cpn {
         q: QTable,
         smart_ratio: f64,
@@ -235,14 +300,49 @@ enum RouterKind {
     },
 }
 
-/// A runtime router. `Clone` is cheap enough to checkpoint every tick:
-/// a CPN router's learned state is one flat `f64` buffer of
+/// A runtime router, cheap enough to copy into a supervisor every
+/// tick. A CPN router's learned state is one flat `f64` buffer of
 /// `Σ_u n·deg(u)` cells (row `(u, dst)` at `base[u] + dst·deg(u)`,
 /// with the offsets shared between clones) plus its `n`-entry
-/// congestion penalty, so a clone is two allocations and two copies.
-#[derive(Clone)]
+/// congestion penalty: `clone` is two allocations and two copies, and
+/// `clone_from` into another CPN router is the two copies alone, into
+/// the buffers it already has. A table router clones its link
+/// snapshot and whichever next-hop tables it has built so far.
 pub struct Router {
     kind: RouterKind,
+}
+
+impl Clone for Router {
+    fn clone(&self) -> Self {
+        Self {
+            kind: self.kind.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.kind, &source.kind) {
+            (
+                RouterKind::Cpn {
+                    q,
+                    smart_ratio,
+                    epsilon,
+                    penalty,
+                },
+                RouterKind::Cpn {
+                    q: src_q,
+                    smart_ratio: src_smart_ratio,
+                    epsilon: src_epsilon,
+                    penalty: src_penalty,
+                },
+            ) => {
+                q.clone_from(src_q);
+                *smart_ratio = *src_smart_ratio;
+                *epsilon = *src_epsilon;
+                penalty.clone_from(src_penalty);
+            }
+            (kind, src_kind) => *kind = src_kind.clone(),
+        }
+    }
 }
 
 /// Penalty delay (ticks) learned for a hop that led to a drop.
@@ -252,30 +352,27 @@ impl Router {
     /// Decides whether a freshly injected packet is a smart packet.
     pub fn is_smart(&self, rng: &mut Rng) -> bool {
         match &self.kind {
-            RouterKind::Table { .. } => false,
+            RouterKind::Table(_) => false,
             RouterKind::Cpn { smart_ratio, .. } => rng.gen::<f64>() < *smart_ratio,
         }
     }
 
-    /// Per-tick maintenance: periodic strategies recompute their
-    /// tables from the live queue occupancy (`queue_len(u, v)`).
+    /// Per-tick maintenance: at each period boundary a periodic
+    /// router recomputes from the live link state and queue occupancy
+    /// (`queue_len(u, v)`), routing on `1 + queue_len / 4` per hop.
     pub fn maintain<Q: Fn(usize, usize) -> usize>(
         &mut self,
         graph: &Graph,
         now: Tick,
         queue_len: Q,
     ) {
-        if let RouterKind::Table {
-            next,
-            period: Some(p),
-        } = &mut self.kind
-        {
-            if now.value() > 0 && now.value().is_multiple_of(*p) {
-                *next = (0..graph.len())
-                    .map(|dst| {
-                        graph.weighted_next_hops(dst, |u, v| 1.0 + queue_len(u, v) as f64 / 4.0)
-                    })
-                    .collect();
+        if let RouterKind::Table(table) = &mut self.kind {
+            if table
+                .period
+                .is_some_and(|p| now.value() > 0 && now.value().is_multiple_of(p))
+            {
+                table.weighted = true;
+                table.snapshot(graph, |u, v| 1.0 + queue_len(u, v) as f64 / 4.0);
             }
         }
     }
@@ -310,7 +407,7 @@ impl Router {
             return None;
         }
         match &self.kind {
-            RouterKind::Table { next, .. } => next[dst][at],
+            RouterKind::Table(table) => table.next_hop(at, dst),
             RouterKind::Cpn {
                 q,
                 epsilon,
@@ -433,7 +530,7 @@ impl Router {
                 .iter()
                 .position(|&x| x == v)
                 .map(|k| q.row(u, dst)[k]),
-            RouterKind::Table { .. } => None,
+            RouterKind::Table(_) => None,
         }
     }
 
@@ -492,8 +589,8 @@ impl Router {
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.kind {
-            RouterKind::Table { period: None, .. } => "StaticShortest",
-            RouterKind::Table { .. } => "Periodic",
+            RouterKind::Table(Table { period: None, .. }) => "StaticShortest",
+            RouterKind::Table(_) => "Periodic",
             RouterKind::Cpn { .. } => "Cpn",
         };
         f.debug_struct("Router").field("kind", &kind).finish()
@@ -656,6 +753,126 @@ mod tests {
         // After recompute the isolated node has no route.
         r.maintain(&g, Tick(10), |_, _| 0);
         assert_eq!(r.next_hop(&g, 0, 8, None, false, &mut rr), None);
+    }
+
+    /// Asserts that every `next_hop` of `r` on `g` equals `expected`,
+    /// the eager tables `expected[dst][node]`.
+    fn assert_routes(r: &Router, g: &Graph, expected: &[Vec<Option<usize>>]) {
+        let mut rr = rng();
+        for (dst, table) in expected.iter().enumerate() {
+            for (at, &hop) in table.iter().enumerate() {
+                let got = r.next_hop(g, at, dst, None, false, &mut rr);
+                assert_eq!(got, hop, "next hop from {at} toward {dst}");
+            }
+        }
+    }
+
+    fn all_dsts(g: &Graph, f: impl Fn(usize) -> Vec<Option<usize>>) -> Vec<Vec<Option<usize>>> {
+        (0..g.len()).map(f).collect()
+    }
+
+    /// A deterministic, uneven queue picture.
+    fn queues(u: usize, v: usize) -> usize {
+        (u * 7 + v * 3) % 11
+    }
+
+    #[test]
+    fn lazy_tables_match_the_eager_computation_at_the_snapshot() {
+        // On the chorded ring, breadth-first search and unit-cost
+        // Dijkstra break ties differently, so hop-count tables must
+        // keep the breadth-first order.
+        let ring = Graph::ring_with_chords(12, 5);
+        assert_ne!(
+            all_dsts(&ring, |dst| ring.bfs_next_hops(dst)),
+            all_dsts(&ring, |dst| ring.weighted_next_hops(dst, |_, _| 1.0)),
+        );
+        for mut g in [Graph::grid(4, 6), ring] {
+            let cut_before = (1, g.neighbours(1)[1]);
+            let cut_after = (4, g.neighbours(4)[0]);
+            let cut_late = (0, g.neighbours(0)[0]);
+            g.remove_edge(cut_before.0, cut_before.1);
+            let bfs = all_dsts(&g, |dst| g.bfs_next_hops(dst));
+            let mut stat = RoutingStrategy::StaticShortest.build(&g);
+            let mut per = RoutingStrategy::Periodic { period: 25 }.build(&g);
+            // Links cut or restored after the snapshot change nothing.
+            g.restore_edge(cut_before.0, cut_before.1);
+            g.remove_edge(cut_after.0, cut_after.1);
+            assert_routes(&stat, &g, &bfs);
+            assert_routes(&per, &g, &bfs);
+
+            // A recompute snapshots the queues and the links up now.
+            let weighted = all_dsts(&g, |dst| {
+                g.weighted_next_hops(dst, |u, v| 1.0 + queues(u, v) as f64 / 4.0)
+            });
+            assert_ne!(bfs, weighted, "the queue picture must change some route");
+            per.maintain(&g, Tick(50), queues);
+            g.restore_edge(cut_after.0, cut_after.1);
+            g.remove_edge(cut_late.0, cut_late.1);
+            per.maintain(&g, Tick(51), |_, _| 0);
+            assert_routes(&per, &g, &weighted);
+            // StaticShortest never recomputes.
+            stat.maintain(&g, Tick(50), queues);
+            assert_routes(&stat, &g, &bfs);
+        }
+    }
+
+    #[test]
+    fn router_clones_keep_their_own_snapshot_before_and_after_lookups() {
+        let mut g = Graph::grid(3, 4);
+        let mut r = RoutingStrategy::Periodic { period: 10 }.build(&g);
+        r.maintain(&g, Tick(10), queues);
+        let at_snapshot = all_dsts(&g, |dst| {
+            g.weighted_next_hops(dst, |u, v| 1.0 + queues(u, v) as f64 / 4.0)
+        });
+        let before_lookup = r.clone();
+        assert_routes(&r, &g, &at_snapshot);
+        let after_lookup = r.clone();
+        let mut into_cpn = RoutingStrategy::cpn_default().build(&g);
+        into_cpn.clone_from(&r);
+        let mut into_table = RoutingStrategy::StaticShortest.build(&g);
+        into_table.clone_from(&r);
+        // The original recomputes on a cut graph; its clones must not.
+        g.remove_edge(0, 1);
+        g.remove_edge(5, 6);
+        r.maintain(&g, Tick(20), |_, _| 0);
+        let after = all_dsts(&g, |dst| g.weighted_next_hops(dst, |_, _| 1.0));
+        assert_routes(&r, &g, &after);
+        for clone in [&before_lookup, &after_lookup, &into_cpn, &into_table] {
+            assert_routes(clone, &g, &at_snapshot);
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_a_cpn_router_exactly() {
+        let g = Graph::grid(3, 3);
+        let mut src = RoutingStrategy::cpn_default().build(&g);
+        for _ in 0..5 {
+            src.reinforce_drop(&g, 0, 1, 8);
+        }
+        src.set_congestion(&[0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut dst = RoutingStrategy::cpn_default().build(&g);
+        dst.clone_from(&src);
+        let mut table = RoutingStrategy::StaticShortest.build(&g);
+        table.clone_from(&src);
+        for copy in [&dst, &table] {
+            for u in 0..g.len() {
+                for &v in g.neighbours(u) {
+                    for d in 0..g.len() {
+                        assert_eq!(
+                            copy.estimate(&g, u, v, d).map(f64::to_bits),
+                            src.estimate(&g, u, v, d).map(f64::to_bits)
+                        );
+                    }
+                }
+            }
+            let (mut a, mut b) = (rng(), rng());
+            for at in 0..g.len() {
+                assert_eq!(
+                    copy.next_hop(&g, at, 8, None, true, &mut a),
+                    src.next_hop(&g, at, 8, None, true, &mut b)
+                );
+            }
+        }
     }
 
     #[test]

@@ -640,14 +640,14 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
             let error = (estimate - realized).abs();
             // Sync the live router into the supervisor so checkpoints
             // capture it, then copy back on rollback/fallback.
-            s.sup.set_model(router.clone());
+            s.sup.set_model_from(&router);
             let verdict = s.sup.observe(
                 now,
                 Evidence::scored(estimate, error).with_input(realized),
                 &mut s.log,
             );
             if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                router = s.sup.model().clone();
+                router.clone_from(s.sup.model());
             }
         }
     }

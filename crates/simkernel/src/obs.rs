@@ -853,6 +853,17 @@ impl TraceWriter {
     }
 }
 
+/// Serialises this crate's tests that flip [`set_override`]: the
+/// override is process-global (it must reach the worker threads of a
+/// replication), so two such tests running in parallel would
+/// overwrite each other's setting.
+#[cfg(test)]
+pub(crate) fn override_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,6 +1003,7 @@ mod tests {
 
     #[test]
     fn sink_collects_only_when_enabled() {
+        let _guard = override_test_lock();
         set_override(Some(false));
         let ((), off) = with_sink(|| {
             let _s = span("phase");
@@ -1012,6 +1024,7 @@ mod tests {
 
     #[test]
     fn sink_nesting_saves_and_restores() {
+        let _guard = override_test_lock();
         set_override(Some(true));
         let ((), outer) = with_sink(|| {
             emit(Json::str("outer-1"));
@@ -1028,6 +1041,7 @@ mod tests {
 
     #[test]
     fn emit_without_sink_is_a_noop() {
+        let _guard = override_test_lock();
         set_override(Some(true));
         emit(Json::str("dropped"));
         let _s = span("orphan");
