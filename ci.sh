@@ -60,20 +60,6 @@ for threads in 1 4; do
 done
 cmp target/parity-1.out target/parity-4.out
 
-# Perf-trajectory smoke: regenerate the macro-bench document at
-# reduced steps/reps and schema-check it, then schema-check EVERY
-# committed BENCH_<n>.json and print the cross-PR wall-clock delta
-# table. This gates on SCHEMA DRIFT only — a renamed arm, missing
-# field, malformed histogram, or a deleted historical document fails
-# here; machine-local timing differences never do.
-echo "==> cargo run -p sas-bench --bin perfbench -- --smoke"
-PERF_SMOKE_OUT="$(mktemp -t perfbench_smoke.XXXXXX.json)"
-trap 'rm -f "$PERF_SMOKE_OUT"' EXIT
-cargo run --offline --release -p sas-bench --bin perfbench -- --smoke --out "$PERF_SMOKE_OUT"
-cargo run --offline --release -p sas-bench --bin perfbench -- --validate "$PERF_SMOKE_OUT"
-echo "==> perfbench --validate-all (committed trajectory)"
-cargo run --offline --release -p sas-bench --bin perfbench -- --validate-all
-
 # Benchmark smoke: one-second traced runs of the repository
 # benchmark's two simulation workloads. The runner checks its own
 # outputs (allow_all factual == plain run_city, obs on/off digest
@@ -107,6 +93,11 @@ for w in city-replay cloud-trace; do
     done
   fi
 done
+
+# Rustdoc gate: every intra-doc link must resolve, so a rename or a
+# deletion cannot leave a doc comment pointing at nothing.
+echo "==> cargo doc --offline --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -1,8 +1,9 @@
 //! Offline property-testing harness.
 //!
 //! Implements the subset of the `proptest` API this workspace's test
-//! suites use: the [`proptest!`] macro, [`Strategy`] with `prop_map`,
-//! numeric-range / tuple / `Just` / regex-lite string strategies,
+//! suites use: the [`proptest!`] macro,
+//! [`Strategy`](strategy::Strategy) with `prop_map`, numeric-range /
+//! tuple / `Just` / regex-lite string strategies,
 //! [`collection::vec`], [`prop_oneof!`], and the `prop_assert*` /
 //! `prop_assume!` macros. Each property runs a fixed number of cases
 //! from a deterministic per-test PRNG (seeded from the test name), so

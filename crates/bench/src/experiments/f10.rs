@@ -159,9 +159,9 @@ impl F10Campaign {
 
 /// Runs the composed city under `campaign` with `mask` applied —
 /// the F10 re-execution primitive. Same world, policy and seed
-/// derivation as [`f9_scenario`]; the mask is the only degree of
-/// freedom, so [`InterventionMask::allow_all`] reproduces the factual
-/// run bit for bit.
+/// derivation as [`f9_scenario`](super::f9_scenario); the mask is
+/// the only degree of freedom, so [`InterventionMask::allow_all`]
+/// reproduces the factual run bit for bit.
 #[must_use]
 pub fn f10_city(
     campaign: F10Campaign,

@@ -159,7 +159,7 @@ fn aggregate_json(report: &RunReport) -> obs::Json {
 pub struct RunTrace<'a> {
     /// Experiment id — also the artifact subdirectory name.
     pub experiment: &'a str,
-    /// Root seed of the [`Replications`] seed tree.
+    /// Root seed of the [`Replications`](simkernel::Replications) seed tree.
     pub seed: u64,
     /// Replicates per arm.
     pub replicates: u32,

@@ -111,6 +111,29 @@ fn f8_scenario_obs_parity() {
 }
 
 #[test]
+fn f6_scenario_obs_parity() {
+    use sas_bench::experiments::f6_scenario;
+    let _guard = obs_lock();
+    // The health-guarded arm: its record adds the per-sensor health
+    // stats and the quarantine explanations to the metrics.
+    check_obs_parity(0xF6, |seeds| f6_scenario(true, seeds, 400), "obs/f6");
+}
+
+#[test]
+fn f7_scenario_obs_parity() {
+    use sas_bench::experiments::{f7_fault_plan, f7_scenario, F7Arm};
+    let _guard = obs_lock();
+    // The supervised arm: its supervisor checkpoints, rolls back and
+    // benches the forecaster that the fault plan corrupts.
+    let plan = f7_fault_plan(400);
+    check_obs_parity(
+        0xF7,
+        |seeds| f7_scenario(F7Arm::Supervised, &plan, seeds, 400),
+        "obs/f7",
+    );
+}
+
+#[test]
 fn exported_run_trace_parses_and_carries_replicate_events() {
     let _guard = obs_lock();
     obs::set_override(Some(true));

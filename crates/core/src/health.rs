@@ -5,15 +5,14 @@
 //! the *instruments* of awareness: a self-aware system should notice
 //! when its own sensors mislead it, and degrade gracefully rather than
 //! act on corrupt data. [`SensorHealth`] watches each scalar sensor
-//! through a per-sensor [`Holt`] self-model and a
-//! [`ResidualTracker`](crate::meta::ResidualTracker), detects four
-//! fault signatures — *stuck-at* (identical readings while the model
-//! expected movement), *outlier runs* (readings far outside the
-//! residual envelope, which also catches bias shifts), *dropout*
-//! (missing readings), and *noise bursts* (a variance-ratio watchdog
-//! on the trusted residual power, catching mean-reverting bursts that
-//! stay close enough to the prediction to evade the outlier test) —
-//! and on detection **quarantines** the sensor:
+//! through a per-sensor [`Holt`] self-model and a [`ResidualTracker`],
+//! detects four fault signatures — *stuck-at* (identical readings
+//! while the model expected movement), *outlier runs* (readings far
+//! outside the residual envelope, which also catches bias shifts),
+//! *dropout* (missing readings), and *noise bursts* (a variance-ratio
+//! watchdog on the trusted residual power, catching mean-reverting
+//! bursts that stay close enough to the prediction to evade the
+//! outlier test) — and on detection **quarantines** the sensor:
 //! downstream consumers receive the model's forecast instead of the
 //! raw reading, flagged as substituted, until the sensor agrees with
 //! the model again for long enough to be trusted.

@@ -120,7 +120,6 @@ pub mod prelude {
     pub use crate::models::ewma::Ewma;
     pub use crate::models::holt::Holt;
     pub use crate::models::qlearn::QLearner;
-    pub use crate::models::seasonal::HoltWinters;
     pub use crate::models::{Forecaster, OnlineModel};
     pub use crate::pressure::{HysteresisGate, HysteresisGateConfig};
     pub use crate::replay::{

@@ -8,10 +8,7 @@
 //! Wang et al. \[61\] and Minku et al. \[60\] in the Lewis et al. book:
 //!
 //! * time-series forecasters — [`ewma::Ewma`], [`holt::Holt`],
-//!   [`seasonal::HoltWinters`], [`ar::ArModel`], [`kalman::Kalman1d`] —
-//!   for **time-awareness**;
-//! * state predictors — [`markov::MarkovChain`] — for discrete regime
-//!   tracking;
+//!   [`ar::ArModel`] — for **time-awareness**;
 //! * action-value learners — [`bandit`] (ε-greedy, UCB1, Exp3,
 //!   softmax) and [`qlearn::QLearner`] — the workhorses of
 //!   **self-expression** (acting on self-knowledge);
@@ -29,11 +26,8 @@ pub mod bandit;
 pub mod drift;
 pub mod ewma;
 pub mod holt;
-pub mod kalman;
-pub mod markov;
 pub mod qlearn;
 pub mod rls;
-pub mod seasonal;
 
 /// An incrementally trained model over a scalar signal.
 pub trait OnlineModel {

@@ -6,7 +6,6 @@ use selfaware::knowledge::KnowledgeBase;
 use selfaware::models::bandit::{Bandit, EpsilonGreedy, Exp3, SoftmaxBandit, Ucb1};
 use selfaware::models::drift::{Cusum, DriftDetector, PageHinkley, WindowDrift};
 use selfaware::models::holt::Holt;
-use selfaware::models::kalman::Kalman1d;
 use selfaware::models::qlearn::QLearner;
 use selfaware::models::{Forecaster, OnlineModel};
 use selfaware::sensors::{Percept, Scope};
@@ -95,25 +94,6 @@ proptest! {
                 prop_assert!((0.0 - 1e-9..=bound).contains(&v), "q {v} bound {bound}");
             }
         }
-    }
-
-    #[test]
-    fn kalman_estimate_in_measurement_hull(
-        zs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-        q in 0.0f64..10.0,
-        r in 0.01f64..10.0,
-    ) {
-        let mut k = Kalman1d::new(q, r);
-        for &z in &zs {
-            k.observe(z);
-        }
-        // The estimate is a convex combination of the measurements and
-        // the prior mean (0), so the hull must include 0.
-        let lo = zs.iter().cloned().fold(0.0f64, f64::min);
-        let hi = zs.iter().cloned().fold(0.0f64, f64::max);
-        let est = k.forecast().unwrap();
-        prop_assert!(est >= lo - 1e-6 && est <= hi + 1e-6);
-        prop_assert!(k.variance() >= 0.0);
     }
 
     #[test]

@@ -653,8 +653,8 @@ impl PhaseProfile {
 /// Peak resident-set size of the current process in **bytes**, read
 /// from `/proc/self/status` (`VmHWM`). Returns `None` on platforms
 /// without procfs (or when the field is absent/unparseable), so
-/// consumers like `perfbench` can stay schema-stable cross-platform
-/// by emitting an explicit null instead of a bogus number.
+/// consumers can stay schema-stable cross-platform by emitting an
+/// explicit null instead of a bogus number.
 #[must_use]
 pub fn read_peak_rss() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;

@@ -38,8 +38,8 @@ pub fn worker_count(cells: usize) -> usize {
 /// Chunk size for claiming replication cells: coarse enough to cut
 /// work-queue contention, fine enough to keep load imbalance small.
 ///
-/// Tuned from the measured per-replicate variance in the committed
-/// perf trajectory (BENCH_9.json): replicate wall-clock within an arm
+/// Tuned from the measured per-replicate variance of the experiment
+/// arms' traced phase profiles: replicate wall-clock within an arm
 /// is tightly clustered (per-phase log₂-ns histograms span only a
 /// couple of buckets), so dynamic one-at-a-time claiming buys almost
 /// no balancing — its cost is pure claim traffic. Handing out about
