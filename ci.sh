@@ -30,6 +30,12 @@ SAS_THREADS=4 cargo test -q --offline -p sas-bench -p simkernel
 echo "==> cargo test --release -q --offline -p simkernel"
 cargo test --release -q --offline -p simkernel
 
+# The f10 --smoke table pin is release-only (several seconds in a
+# debug build); f10 drives the city supervisor's rollback and fallback
+# under every intervention mask.
+echo "==> cargo test --release -q --offline --test experiment_digests"
+cargo test --release -q --offline --test experiment_digests
+
 # Experiment smokes: every experiment with a reduced CI size runs end
 # to end under SAS_OBS=1, and its emitted run trace is
 # schema-validated. f10, f11 and f12 exit non-zero when their gate

@@ -12,7 +12,7 @@ use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
 use std::fmt::Write as _;
 
 /// Root seed of the F10 replication tree.
-pub const F10_SEED: u64 = 0xF10;
+const F10_SEED: u64 = 0xF10;
 
 /// Gate tolerance on a canonical cell's mean measured benefit:
 /// an intervention class regresses only when suppressing it would
@@ -213,7 +213,7 @@ fn counterfactual_record(campaign: &str, metric: &str, d: &CounterfactualDelta) 
 /// Also emits one typed `counterfactual` record per class into the
 /// run trace.
 #[must_use]
-pub fn f10_scenario(campaign: F10Campaign, seeds: SeedTree, steps: u64) -> MetricSet {
+fn f10_scenario(campaign: F10Campaign, seeds: SeedTree, steps: u64) -> MetricSet {
     let report = f10_probe(campaign, &seeds, steps);
     let (metric, _) = campaign.metric();
     let mut m = MetricSet::new();

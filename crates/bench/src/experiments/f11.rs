@@ -7,7 +7,7 @@ use simkernel::{MetricSet, Replications, SeedTree, Table};
 use std::fmt::Write as _;
 
 /// Root seed of the F11 replication tree.
-pub const F11_SEED: u64 = 0xF11;
+const F11_SEED: u64 = 0xF11;
 
 /// One F11 replicate: replay the standard seeded chaos campaign (flash
 /// crowd overlapping a slow-handler stall, connection drops, handler
@@ -20,7 +20,7 @@ pub const F11_SEED: u64 = 0xF11;
 /// faults) is seed-deterministic. Replication averages out scheduler
 /// noise.
 #[must_use]
-pub fn f11_scenario(arm: liveserve::Arm, seeds: SeedTree, ticks: u64) -> MetricSet {
+fn f11_scenario(arm: liveserve::Arm, seeds: SeedTree, ticks: u64) -> MetricSet {
     let plan = liveserve::ChaosPlan::standard(ticks);
     let r = match liveserve::run_arm(arm, &plan, &seeds) {
         Ok(r) => r,

@@ -6,7 +6,7 @@ use simkernel::{MetricSet, Replications, SeedTree, Table, Tick};
 use std::fmt::Write as _;
 
 /// Root seed of the F12 replication tree.
-pub const F12_SEED: u64 = 0xF12;
+const F12_SEED: u64 = 0xF12;
 
 /// Scale floors the full-mode F12 gate enforces: the tentpole claim
 /// is a ≥10k-camera network and a ≥1M-request cloud trace, simulated
@@ -24,28 +24,26 @@ pub const F12_MIN_SPEEDUP: f64 = 10.0;
 /// sparse arms also report how many entity visits actually happened,
 /// which is the point: cost tracks activity, not population.
 #[derive(Debug, Clone)]
-pub struct DesMeasurement {
+struct DesMeasurement {
     /// `"camnet"` or `"cloud"`.
-    pub substrate: &'static str,
+    substrate: &'static str,
     /// `"dense@reduced"`, `"sparse@reduced"` or `"sparse@full"`.
-    pub arm: &'static str,
+    arm: &'static str,
     /// Entity count (cameras / nodes) at this scale.
-    pub entities: u64,
+    entities: u64,
     /// Simulated horizon in ticks.
-    pub steps: u64,
+    steps: u64,
     /// `entities × steps` — the dense-equivalent workload.
-    pub potential_entity_ticks: u64,
+    potential_entity_ticks: u64,
     /// Entity visits the drive mode actually performed.
-    pub visits: f64,
-    /// Scheduler wake events consumed (0 in dense mode).
-    pub wakes: f64,
+    visits: f64,
     /// Requests arrived (cloud substrate; 0 for camnet).
-    pub requests: f64,
+    requests: f64,
     /// Wall-clock seconds for the measurement run (1 replicate, 1
     /// worker).
-    pub wall_secs: f64,
+    wall_secs: f64,
     /// `wall_secs × 1e9 / potential_entity_ticks`.
-    pub ns_per_entity_tick: f64,
+    ns_per_entity_tick: f64,
 }
 
 /// The F12 scale matrix. Dense arms run only at *reduced* scale — at
@@ -272,7 +270,6 @@ fn des_measurement(
         steps,
         potential_entity_ticks: potential,
         visits: report.aggregate().mean("des_visits"),
-        wakes: report.aggregate().mean("des_wakes"),
         requests: report.aggregate().mean("arrived"),
         wall_secs: wall,
         ns_per_entity_tick: wall * 1e9 / potential.max(1) as f64,
@@ -282,7 +279,7 @@ fn des_measurement(
 /// Per-substrate speedup: dense\@reduced ns-per-entity-tick over
 /// sparse\@full ns-per-entity-tick. Empty if either arm is missing.
 #[must_use]
-pub fn f12_speedups(measurements: &[DesMeasurement]) -> Vec<(&'static str, f64)> {
+fn f12_speedups(measurements: &[DesMeasurement]) -> Vec<(&'static str, f64)> {
     let mut out = Vec::new();
     for substrate in ["camnet", "cloud"] {
         let find = |arm: &str| {

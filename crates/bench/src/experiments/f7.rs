@@ -93,7 +93,7 @@ pub fn f7_scenario(
 ) -> MetricSet {
     use selfaware::explain::ExplanationLog;
     use selfaware::supervision::{ControlSource, Evidence, Supervisor};
-    use workloads::faults::{FaultKind, ModelCorruptionKind};
+    use workloads::faults::FaultKind;
     use workloads::signal::{SignalGen, SignalSpec};
 
     // Drifting demand with regime changes: enough structure that a
@@ -118,11 +118,14 @@ pub fn f7_scenario(
     ];
     let mut gen = SignalGen::new(regimes, 0.8, seeds.rng("demand"));
 
-    let mut model = Holt::new(0.3, 0.1);
-    let mut sup =
-        (arm == F7Arm::Supervised).then(|| Supervisor::new("f7-demand", Holt::new(0.3, 0.1)));
+    // The baseline arm never reads the model; the unsupervised arm
+    // holds it unwatched.
+    let mut model = if arm == F7Arm::Supervised {
+        Supervisor::new("f7-demand", Holt::new(0.3, 0.1))
+    } else {
+        Supervisor::unwatched("f7-demand", Holt::new(0.3, 0.1))
+    };
     let mut log = ExplanationLog::new(1024);
-    let mut frozen_until: Option<Tick> = None;
     let mut control: Option<f64> = None;
     let mut regret = Vec::with_capacity(steps as usize);
     let mut onsets: Vec<u64> = Vec::new();
@@ -137,27 +140,9 @@ pub fn f7_scenario(
         for ev in plan.events_at(now) {
             if let FaultKind::ModelCorruption { kind, .. } = ev.kind {
                 onsets.push(t);
-                let target = match (&mut sup, arm) {
-                    (Some(s), _) => Some(s.model_mut()),
-                    (None, F7Arm::Unsupervised) => Some(&mut model),
-                    _ => None,
-                };
-                match (kind, target) {
-                    (ModelCorruptionKind::NanPoison, Some(m)) => {
-                        m.set_state(f64::NAN, f64::NAN);
-                    }
-                    (ModelCorruptionKind::WeightScramble { gain }, Some(m)) => {
-                        let (level, trend) = (m.level(), m.trend());
-                        m.set_state(level * gain, -trend * gain - gain);
-                    }
-                    (ModelCorruptionKind::StateFreeze { duration }, _) => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                    _ => {}
-                }
+                model.corrupt(kind, now);
             }
         }
-        let frozen = frozen_until.is_some_and(|until| now < until);
         drop(sense_span);
         let _decide_span = obs::span("f7:decide");
 
@@ -174,27 +159,22 @@ pub fn f7_scenario(
         }
 
         // Update the model and choose control for the next tick.
-        control = Some(match (&mut sup, arm) {
-            (Some(s), _) => {
-                if !frozen {
-                    s.model_mut().observe(x);
-                }
-                let out = s.model().forecast_h(1).unwrap_or(x);
-                let _ = s.observe(now, Evidence::forecast(x, out), &mut log);
-                if s.source() == ControlSource::Model && out.is_finite() {
-                    out
-                } else {
-                    x // reactive fallback while benched / non-finite
-                }
+        control = Some(if arm == F7Arm::Baseline {
+            x
+        } else {
+            if !model.frozen(now) {
+                model.model_mut().observe(x);
             }
-            (None, F7Arm::Unsupervised) => {
-                if !frozen {
-                    model.observe(x);
-                }
+            let out = model.model().forecast_h(1).unwrap_or(x);
+            model.observe(now, Evidence::forecast(x, out), &mut log);
+            if arm == F7Arm::Unsupervised {
                 // Honest degradation: whatever the model says, flows.
-                model.forecast_h(1).unwrap_or(x)
+                out
+            } else if model.source() == ControlSource::Model && out.is_finite() {
+                out
+            } else {
+                x // reactive fallback while benched / non-finite
             }
-            _ => x,
         });
     }
 
@@ -231,7 +211,7 @@ pub fn f7_scenario(
         recovery_sum += recovered as f64;
     }
 
-    let stats = sup.as_ref().map(Supervisor::stats).unwrap_or_default();
+    let stats = model.stats();
     let mut m = MetricSet::new();
     m.set(
         "mean_regret",

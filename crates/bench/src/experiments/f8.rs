@@ -208,7 +208,7 @@ pub fn f8_scenario(arm: F8Arm, seeds: SeedTree, steps: u64) -> MetricSet {
 /// The F8 arm grid: a loss sweep at both comms policies, plus two
 /// partition lengths riding on 20% loss.
 #[must_use]
-pub fn f8_arms() -> Vec<F8Arm> {
+fn f8_arms() -> Vec<F8Arm> {
     let mut arms = Vec::new();
     for loss in [0.0, 0.1, 0.2, 0.3, 0.4] {
         for naive in [true, false] {

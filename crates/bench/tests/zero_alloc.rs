@@ -9,12 +9,12 @@
 //! buffer, a long steady-state run must leave the allocation counter
 //! untouched.
 //!
-//! The router supervisor syncs the learned CPN router in every tick,
-//! so a `Router` clone must cost a fixed, small number of allocations
-//! whatever the network size, syncing it into a model no checkpoint
-//! shares (`Supervisor::set_model_from`) must cost none, and the
-//! supervised composed city must stay within a per-tick allocation
-//! budget. A sensor-health monitor copies a sensor's key only the
+//! The learned CPN router lives in its supervisor, which copies it on
+//! the first write after each checkpoint, so a `Router` clone must
+//! cost a fixed, small number of allocations whatever the network
+//! size, learning through a supervised router no checkpoint shares
+//! must cost none, and the supervised composed city must stay within a
+//! per-tick allocation budget. A sensor-health monitor copies a sensor's key only the
 //! first time it sees it.
 //!
 //! `simkernel::SimScheduler` reuses freed wake entries through its
@@ -30,10 +30,11 @@
 use compose::{CityConfig, CityPolicy};
 use cpn::graph::Graph;
 use cpn::routing::RoutingStrategy;
+use cpn::SupervisedRouter;
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsPolicy, IdealChannel};
 use selfaware::explain::ExplanationLog;
 use selfaware::health::SensorHealth;
-use selfaware::supervision::Supervisor;
+use selfaware::replay::InterventionMask;
 use simkernel::{obs, SeedTree, SimScheduler, Tick};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -185,19 +186,30 @@ fn cpn_router_clone_cost_does_not_grow_with_the_network() {
 }
 
 #[test]
-fn syncing_an_unshared_supervised_router_is_allocation_free() {
+fn learning_through_an_unshared_supervised_router_is_allocation_free() {
     obs::set_override(Some(false));
     let g = Graph::grid(6, 6);
-    let mut router = RoutingStrategy::supervised_cpn_default().build(&g);
-    let mut sup = Supervisor::new("routing", router.clone());
-    router.reinforce_drop(&g, 0, 1, 35);
+    let strategy = RoutingStrategy::supervised_cpn_default();
+    let mut router = SupervisedRouter::new(strategy, &g, "routing", InterventionMask::allow_all());
+    let congestion = vec![0.0; g.len()];
+    let hop_log = [(0, Tick(0)), (1, Tick(2)), (7, Tick(5))];
+    let fresh = router.learner().estimate(&g, 0, 1, 35);
+    // Between checkpoints no snapshot shares the model, so every
+    // per-tick write lands in the supervisor's own copy.
     let before = allocations();
-    sup.set_model_from(&router);
-    assert_eq!(allocations() - before, 0, "set_model_from allocated");
-    assert_eq!(
-        sup.model().estimate(&g, 0, 1, 35),
-        router.estimate(&g, 0, 1, 35),
-        "the sync must copy the learned state"
+    for t in 1..100 {
+        router.maintain(&g, Tick(t), |_, _| 0);
+        router.set_congestion(&congestion);
+        let learner = router.learner_mut();
+        learner.reinforce_hop(&g, 0, 1, 35, 2.0);
+        learner.reinforce_drop(&g, 0, 1, 35);
+        learner.reinforce_delivery(&g, 7, &hop_log);
+    }
+    assert_eq!(allocations() - before, 0, "learning allocated");
+    assert_ne!(
+        router.learner().estimate(&g, 0, 1, 35),
+        fresh,
+        "the learning must land in the supervised model"
     );
     obs::set_override(None);
 }

@@ -4,21 +4,27 @@
 //! peer. Storing those rows inside each [`crate::camera::Camera`]
 //! (array-of-structs) scattered the hottest data of the auction loop
 //! across `n` separate heap allocations and forced the
-//! staleness-blend path to clone a row per auction. This table keeps
-//! the whole network's state in two contiguous row-major buffers, so
-//! the per-auction hot path (affinity reads, auction updates) touches
-//! one cache-friendly slab and never allocates, and a supervisor
-//! checkpoint is a single flat copy instead of `n` row clones.
+//! staleness-blend path to clone a row per auction. The whole
+//! network's state lives in two contiguous row-major buffers instead,
+//! so the per-auction hot path (affinity reads, auction updates)
+//! touches one cache-friendly slab and never allocates.
+//!
+//! The two buffers are separate types because only the scores are the
+//! learned *model*: [`AffinityTable`] is what a
+//! [`Supervisor`](selfaware::supervision::Supervisor) holds,
+//! checkpoints and rolls back (one flat copy, not `n` row clones),
+//! while [`InviteCounts`] is a record of what the cameras did, which a
+//! rollback leaves alone.
 
-/// Row-major `n × n` learned state for the whole camera network:
-/// `affinity[me * n + other]` is camera `me`'s learned affinity toward
-/// camera `other`, `invites[me * n + other]` how often `me` has
-/// invited `other` to an auction.
+use selfaware::supervision::Corruptible;
+
+/// Row-major `n × n` learned affinity scores for the whole camera
+/// network: `affinity[me * n + other]` is camera `me`'s learned
+/// affinity toward camera `other`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AffinityTable {
     n: usize,
     affinity: Vec<f64>,
-    invites: Vec<u64>,
 }
 
 impl AffinityTable {
@@ -26,20 +32,13 @@ impl AffinityTable {
     pub const PRIOR: f64 = 0.5;
 
     /// Creates the table for an `n`-camera network, every score at
-    /// [`Self::PRIOR`] and every invite count at zero.
+    /// [`Self::PRIOR`].
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self {
             n,
             affinity: vec![Self::PRIOR; n * n],
-            invites: vec![0; n * n],
         }
-    }
-
-    /// Number of cameras.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Camera `me`'s learned affinity for camera `other`
@@ -53,17 +52,6 @@ impl AffinityTable {
     pub fn affinity(&self, me: usize, other: usize) -> f64 {
         assert!(me < self.n && other < self.n, "camera index out of range");
         self.affinity[me * self.n + other]
-    }
-
-    /// Camera `me`'s full affinity row (one score per camera,
-    /// including self).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of range.
-    #[must_use]
-    pub fn row(&self, me: usize) -> &[f64] {
-        &self.affinity[me * self.n..(me + 1) * self.n]
     }
 
     /// Updates camera `me`'s affinity for `other` after an auction
@@ -86,34 +74,69 @@ impl AffinityTable {
         } else {
             *a *= 0.94;
         }
+    }
+
+    /// Mean of every affinity score (row-major accumulation order).
+    /// NaN poison anywhere in the table surfaces here immediately.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        self.affinity.iter().sum::<f64>() / self.affinity.len().max(1) as f64
+    }
+}
+
+/// `NanPoison` overwrites every score; `WeightScramble` maps each score
+/// `a` to `(a − 1) · gain`, pushing it far below any invitation
+/// threshold, so the network forgets who its useful neighbours are.
+impl Corruptible for AffinityTable {
+    fn poison(&mut self) {
+        self.affinity.fill(f64::NAN);
+    }
+
+    fn scramble(&mut self, gain: f64) {
+        for a in &mut self.affinity {
+            *a = (*a - 1.0) * gain;
+        }
+    }
+}
+
+/// Row-major `n × n` invitation counts: `count(me, other)` is how
+/// often camera `me` has invited camera `other` to an auction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InviteCounts {
+    n: usize,
+    invites: Vec<u64>,
+}
+
+impl InviteCounts {
+    /// Every count at zero for an `n`-camera network.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            n,
+            invites: vec![0; n * n],
+        }
+    }
+
+    /// Counts one invitation of `other` by `me`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn record(&mut self, me: usize, other: usize) {
+        assert!(me < self.n && other < self.n, "camera index out of range");
         self.invites[me * self.n + other] += 1;
     }
 
     /// Times camera `me` has invited camera `other`.
     #[must_use]
-    pub fn invite_count(&self, me: usize, other: usize) -> u64 {
+    pub fn count(&self, me: usize, other: usize) -> u64 {
         assert!(me < self.n && other < self.n, "camera index out of range");
         self.invites[me * self.n + other]
     }
 
-    /// Camera `me`'s ask-preference distribution over peers (excluding
-    /// itself): normalised affinities — the camera's *latent beliefs*
-    /// about who wins its handovers.
-    #[must_use]
-    pub fn preference(&self, me: usize) -> Vec<f64> {
-        let mut v: Vec<f64> = self
-            .row(me)
-            .iter()
-            .enumerate()
-            .map(|(j, &a)| if j == me { 0.0 } else { a.max(1e-9) })
-            .collect();
-        normalise(&mut v);
-        v
-    }
-
     /// Camera `me`'s *behavioural* ask distribution: the proportion of
     /// auction invitations actually sent to each peer. This — not the
-    /// latent beliefs — is what the F1 heterogeneity metric compares,
+    /// learned scores — is what the F1 heterogeneity metric compares,
     /// because a broadcast camera may *learn* distinct affinities yet
     /// still ask everyone (behaviourally homogeneous), while a
     /// self-aware camera's invitations themselves specialise. Uniform
@@ -131,48 +154,6 @@ impl AffinityTable {
         v[me] = 0.0;
         normalise(&mut v);
         v
-    }
-
-    /// Flat copy of every affinity score, row-major — the network's
-    /// *model state*, snapshotted by supervisors for checkpoints.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<f64> {
-        self.affinity.clone()
-    }
-
-    /// Restores the whole table from a [`Self::snapshot`] (checkpoint
-    /// rollback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` is not `n × n` scores.
-    pub fn restore(&mut self, snapshot: &[f64]) {
-        assert_eq!(
-            snapshot.len(),
-            self.affinity.len(),
-            "snapshot must cover every affinity score"
-        );
-        self.affinity.copy_from_slice(snapshot);
-    }
-
-    /// Overwrites every affinity score (fault injection).
-    pub fn fill(&mut self, value: f64) {
-        self.affinity.fill(value);
-    }
-
-    /// Applies `f` to every affinity score in place (fault injection).
-    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
-        for a in &mut self.affinity {
-            *a = f(*a);
-        }
-    }
-
-    /// Mean of every affinity score (row-major accumulation order, so
-    /// it matches summing a [`Self::snapshot`]). NaN poison anywhere
-    /// in the table surfaces here immediately.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.affinity.iter().sum::<f64>() / self.affinity.len().max(1) as f64
     }
 }
 
@@ -199,28 +180,25 @@ mod tests {
         }
         assert!(t.affinity(0, 1) > 0.95);
         assert!(t.affinity(0, 2) < 0.05);
-        assert_eq!(t.invite_count(0, 1), 50);
-        assert_eq!(t.invite_count(0, 3), 0);
         // Other rows untouched.
         assert_eq!(t.affinity(1, 2), AffinityTable::PRIOR);
-        assert_eq!(t.invite_count(1, 2), 0);
     }
 
     #[test]
-    fn preference_excludes_self_and_normalises() {
-        let mut t = AffinityTable::new(4);
-        t.record_auction(0, 1, true);
-        let p = t.preference(0);
-        assert_eq!(p.len(), 4);
-        assert_eq!(p[0], 0.0, "self excluded");
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(p[1] > p[2]);
+    fn invite_counts_are_per_pair() {
+        let mut c = InviteCounts::new(4);
+        for _ in 0..50 {
+            c.record(0, 1);
+        }
+        assert_eq!(c.count(0, 1), 50);
+        assert_eq!(c.count(0, 3), 0);
+        assert_eq!(c.count(1, 0), 0);
     }
 
     #[test]
     fn ask_distribution_uniform_before_any_invites() {
-        let t = AffinityTable::new(4);
-        let d = t.ask_distribution(1);
+        let c = InviteCounts::new(4);
+        let d = c.ask_distribution(1);
         assert_eq!(d[1], 0.0);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((d[0] - d[2]).abs() < 1e-12);
@@ -228,49 +206,70 @@ mod tests {
 
     #[test]
     fn ask_distribution_reflects_actual_invitations() {
-        let mut t = AffinityTable::new(4);
+        let mut c = InviteCounts::new(4);
         for _ in 0..9 {
-            t.record_auction(0, 1, false);
+            c.record(0, 1);
         }
-        t.record_auction(0, 2, true);
-        let d = t.ask_distribution(0);
+        c.record(0, 2);
+        let d = c.ask_distribution(0);
         assert!((d[1] - 0.9).abs() < 1e-9);
         assert!((d[2] - 0.1).abs() < 1e-9);
         assert_eq!(d[3], 0.0);
     }
 
     #[test]
-    fn snapshot_restore_round_trips() {
+    fn corruptions_hit_every_score() {
+        // From the 0.5 prior: the `(a − 1) · gain` scramble, then NaN
+        // poison.
         let mut t = AffinityTable::new(3);
-        t.record_auction(0, 1, true);
-        t.record_auction(2, 0, false);
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 9);
-        t.fill(f64::NAN);
-        assert!(t.mean().is_nan());
-        t.restore(&snap);
-        assert_eq!(t.snapshot(), snap);
-        assert!(t.affinity(0, 1) > AffinityTable::PRIOR);
+        t.scramble(30.0);
+        assert!(t.affinity.iter().all(|&a| a == -15.0));
+        t.poison();
+        assert!(t.affinity.iter().all(|a| a.is_nan()) && t.mean().is_nan());
     }
 
     #[test]
-    fn map_in_place_hits_every_score() {
-        let mut t = AffinityTable::new(3);
-        t.map_in_place(|a| (a - 1.0) * 30.0);
-        for me in 0..3 {
-            for j in 0..3 {
-                assert!((t.affinity(me, j) + 15.0).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn mean_matches_flat_snapshot_sum() {
+    fn mean_is_the_row_major_average() {
         let mut t = AffinityTable::new(3);
         t.record_auction(1, 2, true);
-        let flat = t.snapshot();
-        let expect = flat.iter().sum::<f64>() / flat.len() as f64;
-        assert_eq!(t.mean(), expect);
+        let expect = (8.0 * 0.5 + 0.65) / 9.0;
+        assert!((t.mean() - expect).abs() < 1e-15);
+    }
+
+    #[test]
+    fn rollback_restores_scores_and_leaves_invites_alone() {
+        use selfaware::explain::ExplanationLog;
+        use selfaware::supervision::{Anomaly, Evidence, ModelCorruptionKind, Supervisor, Verdict};
+        use simkernel::Tick;
+
+        let mut log = ExplanationLog::new(16);
+        let mut scores = Supervisor::new("camera-affinities", AffinityTable::new(3));
+        let mut invites = InviteCounts::new(3);
+        let mut auction = |scores: &mut Supervisor<AffinityTable>, won: bool| {
+            scores.model_mut().record_auction(0, 1, won);
+            invites.record(0, 1);
+        };
+        // Quiet ticks; the last checkpoint is taken at t = 50.
+        for t in 0..=50u64 {
+            auction(&mut scores, true);
+            let mean = scores.model().mean();
+            scores.observe(Tick(t), Evidence::scored(mean, 0.1), &mut log);
+        }
+        assert_eq!(scores.stats().checkpoints, 2);
+        let checkpointed = scores.model().clone();
+        // More learning after the checkpoint, then a NaN poison.
+        for _ in 0..5 {
+            auction(&mut scores, false);
+        }
+        scores.corrupt(ModelCorruptionKind::NanPoison, Tick(51));
+        let verdict = scores.observe(
+            Tick(51),
+            Evidence::scored(scores.model().mean(), 0.1),
+            &mut log,
+        );
+        assert_eq!(verdict, Verdict::RolledBack(Anomaly::NonFinite));
+        assert_eq!(scores.model(), &checkpointed, "scores restored");
+        assert_eq!(invites.count(0, 1), 56, "invites untouched");
     }
 
     #[test]
@@ -278,12 +277,5 @@ mod tests {
     fn out_of_range_read_panics() {
         let t = AffinityTable::new(2);
         let _ = t.affinity(0, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot must cover every affinity score")]
-    fn short_snapshot_panics() {
-        let mut t = AffinityTable::new(2);
-        t.restore(&[0.5; 3]);
     }
 }

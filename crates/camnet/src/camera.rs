@@ -1,9 +1,9 @@
 //! Camera geometry: position, field of view, tracking quality.
 //!
 //! The learned per-neighbour affinity state lives in
-//! [`crate::affinity::AffinityTable`] (struct-of-arrays, one
-//! contiguous slab for the whole network) rather than inside each
-//! camera — see that module for why.
+//! [`crate::affinity`] (struct-of-arrays, one contiguous slab for the
+//! whole network) rather than inside each camera — see that module for
+//! why.
 
 use workloads::trajectories::Point;
 

@@ -2,8 +2,8 @@
 //!
 //! Lewis et al. \[12, 13\] quantify emergent behavioural heterogeneity
 //! by comparing the learned policies of the network's entities. Here a
-//! camera's policy is its ask-preference distribution
-//! ([`crate::affinity::AffinityTable::preference`]); network
+//! camera's policy is its behavioural ask distribution
+//! ([`crate::affinity::InviteCounts::ask_distribution`]); network
 //! heterogeneity is the mean pairwise Jensen–Shannon divergence
 //! between those distributions. Homogeneous networks (everyone
 //! broadcasts, or everyone uses the same prior) score 0; networks

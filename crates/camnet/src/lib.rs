@@ -37,7 +37,7 @@ pub mod grid;
 pub mod sim;
 pub mod strategy;
 
-pub use affinity::AffinityTable;
+pub use affinity::{AffinityTable, InviteCounts};
 pub use camera::Camera;
 pub use des::{run_des_camnet, DesCamnetConfig, DesCamnetResult};
 pub use diversity::policy_divergence;

@@ -1,6 +1,6 @@
 //! The camera-network world: objects, ownership, auctions, metrics.
 
-use crate::affinity::AffinityTable;
+use crate::affinity::{AffinityTable, InviteCounts};
 use crate::camera::Camera;
 use crate::diversity::policy_divergence;
 use crate::strategy::{nearest_neighbours, random_subsets, HandoverStrategy};
@@ -9,11 +9,11 @@ use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, Evidence, Supervisor, Verdict};
+use selfaware::supervision::{ControlSource, Evidence, Supervisor};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
-use workloads::faults::{ChannelPlan, FaultKind, FaultPlan, ModelCorruptionKind};
+use workloads::faults::{ChannelPlan, FaultKind, FaultPlan};
 use workloads::trajectories::{Point, Wanderer};
 
 /// Configuration of a camera-network scenario.
@@ -163,31 +163,28 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         .collect();
     let mut alive = vec![true; n];
     // The network's learned state, struct-of-arrays: one contiguous
-    // affinity/invite slab instead of per-camera heap rows (see
-    // `crate::affinity`). The auction hot loop reads and updates it
-    // without allocating.
-    let mut table = AffinityTable::new(n);
+    // affinity slab and one invite slab instead of per-camera heap
+    // rows (see `crate::affinity`). The auction hot loop reads and
+    // updates them without allocating.
+    //
+    // Meta-self-awareness: the affinity scores are the supervised
+    // model. The supervisor checkpoints them, watches a tracking-loss
+    // error signal, and benches the network onto broadcast
+    // invitations while the model is corrupt; a rollback restores the
+    // scores and leaves the invite counts alone. Unsupervised runs
+    // hold the scores in an unwatched supervisor.
+    let mut affinities = if cfg.supervise {
+        Supervisor::new("camera-affinities", AffinityTable::new(n)).with_mask(cfg.mask)
+    } else {
+        Supervisor::unwatched("camera-affinities", AffinityTable::new(n))
+    };
+    let mut sup_log = ExplanationLog::new(512);
+    let mut invites = InviteCounts::new(n);
     // Initial ownership: best-quality seer, if any.
     let mut owner: Vec<Option<usize>> = objects
         .iter()
         .map(|o| best_seer(&cameras, &alive, o.position()))
         .collect();
-
-    // Meta-self-awareness: the supervised model is the network-wide
-    // affinity matrix (flat row-major). The supervisor checkpoints
-    // it, watches a tracking-loss error signal, and benches the
-    // network onto broadcast invitations while the model is corrupt.
-    struct AffinitySupervision {
-        sup: Supervisor<Vec<f64>>,
-        log: ExplanationLog,
-    }
-    let mut supervision = cfg.supervise.then(|| {
-        Box::new(AffinitySupervision {
-            sup: Supervisor::new("camera-affinities", table.snapshot()).with_mask(cfg.mask),
-            log: ExplanationLog::new(512),
-        })
-    });
-    let mut frozen_until: Option<Tick> = None;
 
     // The comms layer carries every auction ask/bid round trip and
     // every transfer message. It consumes no randomness: frame fates
@@ -238,27 +235,12 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                 FaultKind::CameraRecover { camera } if camera < n => {
                     alive[camera] = true;
                 }
-                FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => {
-                        table.fill(f64::NAN);
-                    }
-                    ModelCorruptionKind::WeightScramble { gain } => {
-                        // Push every learned score far below any
-                        // invitation threshold: the network forgets
-                        // who its useful neighbours are.
-                        table.map_in_place(|a| (a - 1.0) * gain);
-                    }
-                    ModelCorruptionKind::StateFreeze { duration } => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                },
+                FaultKind::ModelCorruption { kind, .. } => affinities.corrupt(kind, now),
                 _ => {}
             }
         }
-        let frozen = frozen_until.is_some_and(|until| now < until);
-        let benched = supervision
-            .as_ref()
-            .is_some_and(|s| s.sup.source() == ControlSource::Baseline);
+        let frozen = affinities.frozen(now);
+        let benched = affinities.source() == ControlSource::Baseline;
 
         for o in &mut objects {
             o.step(&mut obj_rng);
@@ -298,7 +280,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                             strategy.invitees_into(
                                 me,
                                 n,
-                                |j| table.affinity(me, j),
+                                |j| affinities.model().affinity(me, j),
                                 &neighbours,
                                 &static_sets,
                                 &mut auction_rng,
@@ -310,7 +292,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                                 n,
                                 |j| {
                                     let w = comms.freshness(me, j, now);
-                                    w * table.affinity(me, j) + (1.0 - w) * 0.5
+                                    w * affinities.model().affinity(me, j) + (1.0 - w) * 0.5
                                 },
                                 &neighbours,
                                 &static_sets,
@@ -345,6 +327,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                                 a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
                             });
                         if !frozen {
+                            let table = affinities.model_mut();
                             for (&j, &r) in invitees.iter().zip(&reachable) {
                                 // Staleness-aware cameras refuse to
                                 // unlearn a peer the *channel* failed
@@ -355,6 +338,7 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
                                 if r || !aware {
                                     let won = winner.is_some_and(|(w, _)| w == j);
                                     table.record_auction(me, j, won);
+                                    invites.record(me, j);
                                 }
                             }
                         }
@@ -400,22 +384,18 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
         // fraction of objects left untracked this tick (a corrupted
         // ask-policy loses objects). The strictly advancing input
         // lets the stall detector catch frozen state.
-        if let Some(s) = &mut supervision {
-            let mean_affinity = table.mean();
+        if affinities.is_watching() {
+            let mean_affinity = affinities.model().mean();
             let error = tick_untracked as f64 / cfg.objects.max(1) as f64;
-            s.sup.set_model(table.snapshot());
-            let verdict = s.sup.observe(
+            affinities.observe(
                 now,
                 Evidence::scored(mean_affinity, error).with_input(t as f64),
-                &mut s.log,
+                &mut sup_log,
             );
-            if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                table.restore(s.sup.model());
-            }
         }
 
         if t % 50 == 0 {
-            let policies: Vec<Vec<f64>> = (0..n).map(|i| table.ask_distribution(i)).collect();
+            let policies: Vec<Vec<f64>> = (0..n).map(|i| invites.ask_distribution(i)).collect();
             heterogeneity.push(now, policy_divergence(&policies));
             if window_samples > 0 {
                 quality_series.push(now, window_quality / window_samples as f64);
@@ -443,14 +423,11 @@ pub fn run_camnet(cfg: &CamnetConfig, seeds: &SeedTree) -> CamnetResult {
     );
     metrics.set("auctions", auctions as f64);
     metrics.set("handovers", handovers as f64);
-    let policies: Vec<Vec<f64>> = (0..n).map(|i| table.ask_distribution(i)).collect();
+    let policies: Vec<Vec<f64>> = (0..n).map(|i| invites.ask_distribution(i)).collect();
     metrics.set("heterogeneity_final", policy_divergence(&policies));
     let utility = camnet_goal().utility(|k| metrics.get(k));
     metrics.set("utility", utility);
-    let sup = supervision
-        .as_ref()
-        .map(|s| s.sup.stats())
-        .unwrap_or_default();
+    let sup = affinities.stats();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));

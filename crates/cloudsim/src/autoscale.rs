@@ -3,13 +3,14 @@
 //!
 //! [`AutoscaleCore`] is the demand-side half of the self-aware
 //! controller in [`crate::strategy`]: a Holt double-exponential
-//! arrival forecast (optionally watchdogged by a
-//! [`Supervisor`]), an EWMA per-item work estimate, a violation EWMA,
-//! and the goal-aware asymmetric safety-margin adaptation. Pool sizing
-//! is the classic `ceil(rate · mean_work · safety / capacity)`
-//! formula. It is deliberately unit-agnostic: in `cloudsim` a "tick"
-//! is a dispatch round and capacity is work-units per node-tick; in
-//! `liveserve` a tick is a wall-clock quantum and capacity is 1.0
+//! arrival forecast held in a [`Supervisor`] (watching it only when
+//! [`AutoscaleCore::supervised`]), an EWMA per-item work estimate, a
+//! violation EWMA, and the goal-aware asymmetric safety-margin
+//! adaptation. Pool sizing is the classic
+//! `ceil(rate · mean_work · safety / capacity)` formula. It is
+//! deliberately unit-agnostic: in `cloudsim` a "tick" is a dispatch
+//! round and capacity is work-units per node-tick; in `liveserve` a
+//! tick is a wall-clock quantum and capacity is 1.0
 //! (one handler thread serves one request's worth of work per
 //! busy-quantum), so the *same* policy arithmetic sizes a thread pool
 //! under live TCP traffic.
@@ -23,9 +24,10 @@ use selfaware::models::ewma::Ewma;
 use selfaware::models::holt::Holt;
 use selfaware::models::{Forecaster, OnlineModel};
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, Evidence, SupervisionStats, Supervisor};
+use selfaware::supervision::{
+    ControlSource, Evidence, ModelCorruptionKind, SupervisionStats, Supervisor,
+};
 use simkernel::Tick;
-use workloads::faults::ModelCorruptionKind;
 
 /// Default autoscaling safety margin (headroom multiplier).
 pub const SAFETY_DEFAULT: f64 = 1.3;
@@ -35,14 +37,6 @@ pub const SAFETY_MAX: f64 = 3.0;
 pub const VIOLATION_HIGH: f64 = 0.05;
 /// Violation level below which the margin decays toward the floor.
 pub const VIOLATION_LOW: f64 = 0.01;
-
-/// Watchdog wrapper around the arrival model: the supervised variant
-/// learns through `sup.model_mut()`, so checkpoint/rollback and
-/// fallback decisions apply to the live model.
-struct SupervisedModel {
-    sup: Supervisor<Holt>,
-    log: ExplanationLog,
-}
 
 /// Demand forecasting + safety adaptation + pool sizing, decoupled
 /// from what is being scaled.
@@ -64,48 +58,45 @@ struct SupervisedModel {
 /// assert!(core.safety() >= 1.0);
 /// ```
 pub struct AutoscaleCore {
-    arrival_forecast: Holt,
+    /// The arrival model; learning goes through `model_mut()`, so
+    /// checkpoint/rollback and fallback decisions apply to the live
+    /// model when it is watched.
+    arrivals: Supervisor<Holt>,
+    log: ExplanationLog,
     work_estimate: Ewma,
     violation_ewma: Ewma,
     safety: f64,
-    supervision: Option<Box<SupervisedModel>>,
-    frozen_until: Option<Tick>,
 }
 
 impl AutoscaleCore {
-    /// Creates an unsupervised core; `name` labels the supervisor if
-    /// [`AutoscaleCore::supervised`] is applied.
+    /// Creates an unsupervised core; `name` names its arrival model's
+    /// supervisor, whose explanations read `supervise:{name}:{step}`
+    /// once [`AutoscaleCore::supervised`] is applied.
     #[must_use]
     pub fn new(name: &str) -> Self {
-        let _ = name; // kept for symmetry; supervised() names the watchdog
         Self {
-            arrival_forecast: Holt::new(0.2, 0.05),
+            arrivals: Supervisor::unwatched(name, Holt::new(0.2, 0.05)),
+            log: ExplanationLog::new(512),
             work_estimate: Ewma::new(0.05),
             violation_ewma: Ewma::new(0.05),
             safety: SAFETY_DEFAULT,
-            supervision: None,
-            frozen_until: None,
         }
     }
 
-    /// Wraps the arrival model in a meta-self-aware [`Supervisor`]
+    /// Watches the arrival model with a meta-self-aware [`Supervisor`]
     /// (NaN/divergence/oscillation/stall watchdog with checkpoint →
     /// rollback → reactive-fallback ladder).
     #[must_use]
     pub fn supervised(mut self) -> Self {
-        self.supervision = Some(Box::new(SupervisedModel {
-            sup: Supervisor::new("cloud-arrivals", Holt::new(0.2, 0.05)),
-            log: ExplanationLog::new(512),
-        }));
+        let name = self.arrivals.name().to_owned();
+        self.arrivals = Supervisor::new(name, self.arrivals.model().clone());
         self
     }
 
     /// Applies a counterfactual intervention mask to the supervisor
     /// (no-op when unsupervised). Masked paths consume no randomness.
     pub fn set_mask(&mut self, mask: InterventionMask) {
-        if let Some(svc) = &mut self.supervision {
-            svc.sup.set_mask(mask);
-        }
+        self.arrivals.set_mask(mask);
     }
 
     /// Feeds one item's work size into the per-item work estimate.
@@ -137,34 +128,11 @@ impl AutoscaleCore {
         self.safety = self.safety.max(floor).min(SAFETY_MAX);
     }
 
-    /// Freezes the arrival model until `until` (the `StateFreeze`
-    /// model-corruption fault).
-    pub fn freeze_until(&mut self, until: Tick) {
-        self.frozen_until = Some(until);
-    }
-
     /// Corrupts the learned arrival model in place — the injection
-    /// point for [`ModelCorruptionKind`] faults.
+    /// point for [`ModelCorruptionKind`] faults (see
+    /// [`Supervisor::corrupt`]).
     pub fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        match kind {
-            ModelCorruptionKind::StateFreeze { duration } => {
-                self.frozen_until = Some(Tick(now.0 + duration));
-            }
-            _ => {
-                let model = match &mut self.supervision {
-                    Some(svc) => svc.sup.model_mut(),
-                    None => &mut self.arrival_forecast,
-                };
-                match kind {
-                    ModelCorruptionKind::NanPoison => model.set_state(f64::NAN, f64::NAN),
-                    ModelCorruptionKind::WeightScramble { gain } => {
-                        let (level, trend) = (model.level(), model.trend());
-                        model.set_state(level * gain, -trend * gain - gain);
-                    }
-                    ModelCorruptionKind::StateFreeze { .. } => unreachable!("handled above"),
-                }
-            }
-        }
+        self.arrivals.corrupt(kind, now);
     }
 
     /// Observes the tick's arrivals into the (possibly supervised)
@@ -174,30 +142,22 @@ impl AutoscaleCore {
     /// provision reactively on the raw arrival stimulus instead of the
     /// diverged forecast.
     pub fn demand_rate(&mut self, arrivals: f64, now: Tick) -> f64 {
-        let frozen = self.frozen_until.is_some_and(|until| now.0 < until.0);
-        match &mut self.supervision {
-            Some(svc) => {
-                if !frozen {
-                    svc.sup.model_mut().observe(arrivals);
-                }
-                let out = svc.sup.model().forecast_h(1).unwrap_or(arrivals);
-                svc.sup
-                    .observe(now, Evidence::forecast(arrivals, out), &mut svc.log);
-                let forecast = svc.sup.model().forecast_h(5).unwrap_or(arrivals);
-                if svc.sup.source() == ControlSource::Model && forecast.is_finite() {
-                    forecast
-                } else {
-                    // Benched: fall back to reactive provisioning on
-                    // the raw arrival stimulus.
-                    arrivals
-                }
-            }
-            None => {
-                if !frozen {
-                    self.arrival_forecast.observe(arrivals);
-                }
-                self.arrival_forecast.forecast_h(5).unwrap_or(arrivals)
-            }
+        let model = &mut self.arrivals;
+        if !model.frozen(now) {
+            model.model_mut().observe(arrivals);
+        }
+        if !model.is_watching() {
+            return model.model().forecast_h(5).unwrap_or(arrivals);
+        }
+        let out = model.model().forecast_h(1).unwrap_or(arrivals);
+        model.observe(now, Evidence::forecast(arrivals, out), &mut self.log);
+        let forecast = model.model().forecast_h(5).unwrap_or(arrivals);
+        if model.source() == ControlSource::Model && forecast.is_finite() {
+            forecast
+        } else {
+            // Benched: fall back to reactive provisioning on the raw
+            // arrival stimulus.
+            arrivals
         }
     }
 
@@ -249,19 +209,19 @@ impl AutoscaleCore {
     /// Watchdog counters, if supervised.
     #[must_use]
     pub fn supervision_stats(&self) -> Option<SupervisionStats> {
-        self.supervision.as_ref().map(|svc| svc.sup.stats())
+        self.arrivals.is_watching().then(|| self.arrivals.stats())
     }
 
     /// The supervisor's explanation log, if supervised.
     #[must_use]
     pub fn explanations(&self) -> Option<&ExplanationLog> {
-        self.supervision.as_deref().map(|svc| &svc.log)
+        self.arrivals.is_watching().then_some(&self.log)
     }
 
     /// Which model currently drives autoscaling, if supervised.
     #[must_use]
     pub fn control_source(&self) -> Option<ControlSource> {
-        self.supervision.as_ref().map(|svc| svc.sup.source())
+        self.arrivals.is_watching().then(|| self.arrivals.source())
     }
 }
 
@@ -269,7 +229,7 @@ impl std::fmt::Debug for AutoscaleCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AutoscaleCore")
             .field("safety", &self.safety)
-            .field("supervised", &self.supervision.is_some())
+            .field("supervised", &self.arrivals.is_watching())
             .finish()
     }
 }
@@ -331,7 +291,7 @@ mod tests {
             core.demand_rate(4.0, Tick(t));
         }
         let before = core.demand_rate(4.0, Tick(30));
-        core.freeze_until(Tick(100));
+        core.inject_model_corruption(ModelCorruptionKind::StateFreeze { duration: 69 }, Tick(31));
         for t in 31..60u64 {
             core.demand_rate(40.0, Tick(t)); // ignored while frozen
         }

@@ -19,13 +19,12 @@ use crate::autoscale::AutoscaleCore;
 use crate::cluster::Cluster;
 use crate::request::{Request, RequestOutcome};
 use rand::Rng as _;
-use selfaware::explain::ExplanationLog;
 use selfaware::levels::{Level, LevelSet};
 use selfaware::models::drift::{DriftDetector, PageHinkley};
 use selfaware::models::ewma::Ewma;
 use selfaware::models::OnlineModel;
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, SupervisionStats};
+use selfaware::supervision::SupervisionStats;
 use simkernel::rng::Rng;
 use simkernel::Tick;
 use workloads::faults::ModelCorruptionKind;
@@ -248,7 +247,7 @@ impl Controller {
     /// no-op for model-free baselines (they have no state to poison).
     pub fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
         if let Kind::SelfAware(state) = &mut self.kind {
-            state.inject_model_corruption(kind, now);
+            state.core.inject_model_corruption(kind, now);
         }
     }
 
@@ -257,26 +256,6 @@ impl Controller {
     pub fn supervision_stats(&self) -> Option<SupervisionStats> {
         match &self.kind {
             Kind::SelfAware(s) => s.core.supervision_stats(),
-            _ => None,
-        }
-    }
-
-    /// The supervisor's explanation log, if this controller is
-    /// supervised.
-    #[must_use]
-    pub fn explanations(&self) -> Option<&ExplanationLog> {
-        match &self.kind {
-            Kind::SelfAware(s) => s.core.explanations(),
-            _ => None,
-        }
-    }
-
-    /// Which model currently drives autoscaling (supervised
-    /// controllers only).
-    #[must_use]
-    pub fn control_source(&self) -> Option<ControlSource> {
-        match &self.kind {
-            Kind::SelfAware(s) => s.core.control_source(),
             _ => None,
         }
     }
@@ -340,10 +319,6 @@ impl SelfAwareState {
     fn supervised(mut self) -> Self {
         self.core = self.core.supervised();
         self
-    }
-
-    fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        self.core.inject_model_corruption(kind, now);
     }
 
     /// Observes the tick's arrivals and returns the pool size the

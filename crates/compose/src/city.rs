@@ -16,7 +16,7 @@
 use crate::world::{CityConfig, CityEvent};
 use camnet::Camera;
 use cpn::graph::Graph;
-use cpn::routing::{Router, RoutingStrategy};
+use cpn::supervised::SupervisedRouter;
 use multicore::{Core, CoreSpec};
 use rand::Rng as _;
 use selfaware::comms::{Channel, ChannelOutcome, CommsNetwork, CommsStats, Delivered};
@@ -25,12 +25,11 @@ use selfaware::goals::{Direction, Goal, Objective};
 use selfaware::health::SensorHealth;
 use selfaware::pressure::{HysteresisGate, HysteresisGateConfig};
 use selfaware::replay::InterventionClass;
-use selfaware::supervision::{Evidence, Supervisor, Verdict};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{Clock, ClockSource, MetricSet, Tick};
 use std::collections::{BTreeMap, VecDeque};
-use workloads::faults::{ChannelPlan, FaultKind, ModelCorruptionKind};
+use workloads::faults::{ChannelPlan, FaultKind};
 use workloads::rates::{DiurnalRate, RateFn};
 use workloads::tasks::{Task, TaskClass};
 use workloads::trajectories::{Point, Wanderer};
@@ -150,16 +149,6 @@ impl Channel for AgentLiveChannel<'_> {
     }
 }
 
-/// Meta-self-awareness over the detection-transport router, mirroring
-/// `cpn::sim`: the supervisor checkpoints the learned router, scores
-/// its route-delay estimates against realized transit delays, and
-/// benches it onto a periodic table when it misbehaves.
-struct CitySupervision {
-    sup: Supervisor<Router>,
-    baseline: Router,
-    realized: Option<f64>,
-}
-
 /// Runs one composed city scenario. Metric keys:
 ///
 /// * `detections`, `serviced`, `service_ratio` — end-to-end outcome;
@@ -204,16 +193,11 @@ pub fn run_city_with_clock<K: ClockSource>(
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
     let n = graph.len();
     let mask = cfg.campaign.mask();
-    let mut router = cfg.policy.router.build(&graph);
-    let mut supervision =
-        matches!(cfg.policy.router, RoutingStrategy::SupervisedCpn { .. }).then(|| {
-            Box::new(CitySupervision {
-                sup: Supervisor::new("city-routing", router.clone()).with_mask(mask),
-                baseline: RoutingStrategy::Periodic { period: 25 }.build(&graph),
-                realized: None,
-            })
-        });
-    let mut frozen_until: Option<Tick> = None;
+    // Meta-self-awareness over the detection-transport router: the
+    // same supervised router as `cpn::sim`, scoring route-delay
+    // estimates against realized transit delays and benching the
+    // model onto a periodic table when it misbehaves.
+    let mut router = SupervisedRouter::new(cfg.policy.router, &graph, "city-routing", mask);
 
     let mut wander_rng = seeds.rng("wander");
     let mut work_rng = seeds.rng("work");
@@ -399,18 +383,13 @@ pub fn run_city_with_clock<K: ClockSource>(
                 FaultKind::LinkRestore { a, b } => {
                     graph.restore_edge(a, b);
                 }
-                FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => router.poison_model(),
-                    ModelCorruptionKind::WeightScramble { gain } => router.scramble_model(gain),
-                    ModelCorruptionKind::StateFreeze { duration } => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                },
+                FaultKind::ModelCorruption { kind, .. } => {
+                    router.supervisor_mut().corrupt(kind, now)
+                }
                 _ => {}
             }
         }
-        let frozen = frozen_until.is_some_and(|until| now.value() < until.value());
-        let benched = supervision.as_ref().is_some_and(|s| s.sup.is_fallback());
+        let frozen = router.supervisor().frozen(now);
 
         // --- Population: diurnal activity plus the flash crowd. ----
         let in_crowd = t >= cfg.crowd_window.0 && t < cfg.crowd_window.1;
@@ -431,12 +410,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 .position(|&x| x == v)
                 .map_or(0, |k| queues[u][k].len())
         };
-        if !frozen {
-            router.maintain(&graph, now, qlen);
-        }
-        if let Some(s) = &mut supervision {
-            s.baseline.maintain(&graph, now, qlen);
-        }
+        router.maintain(&graph, now, qlen);
         let cutoff = QUEUE_CAP / 2;
         congestion.clear();
         congestion.extend(
@@ -445,9 +419,6 @@ pub fn run_city_with_clock<K: ClockSource>(
                 .map(|c| if c >= cutoff { c as f64 } else { 0.0 }),
         );
         router.set_congestion(&congestion);
-        if let Some(s) = &mut supervision {
-            s.baseline.set_congestion(&congestion);
-        }
         drop(decide_span);
 
         // --- Cameras: own, corrupt, heal, shed, emit. --------------
@@ -579,16 +550,8 @@ pub fn run_city_with_clock<K: ClockSource>(
                     );
                     continue;
                 }
-                let smart = !benched && router.is_smart(&mut route_rng);
-                let hop = if benched {
-                    supervision
-                        .as_ref()
-                        .expect("benched implies supervised")
-                        .baseline
-                        .next_hop(&graph, src, dst, None, false, &mut route_rng)
-                } else {
-                    router.next_hop(&graph, src, dst, None, smart, &mut route_rng)
-                };
+                let smart = router.is_smart(&mut route_rng);
+                let hop = router.next_hop(&graph, src, dst, None, smart, &mut route_rng);
                 let Some(v) = hop else {
                     net_dropped += 1;
                     continue;
@@ -600,7 +563,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 if queues[src][k].len() >= QUEUE_CAP {
                     net_dropped += 1;
                     if !frozen {
-                        router.reinforce_drop(&graph, src, v, dst);
+                        router.learner_mut().reinforce_drop(&graph, src, v, dst);
                     }
                     continue;
                 }
@@ -643,7 +606,9 @@ pub fn run_city_with_clock<K: ClockSource>(
                 let entered = pkt.hop_log.last().map_or(now, |&(_, at)| at);
                 let hop_delay = (now.value().saturating_sub(entered.value())).max(1) as f64;
                 if !frozen {
-                    router.reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
+                    router
+                        .learner_mut()
+                        .reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
                 }
                 if v == pkt.dst && zone_dead[pkt.zone] {
                     // Nobody home: a dead backend cannot consume the
@@ -660,7 +625,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                     if pkt.ttl == 0 {
                         net_dropped += 1;
                         if !frozen {
-                            router.reinforce_drop(&graph, u, v, pkt.dst);
+                            router.learner_mut().reinforce_drop(&graph, u, v, pkt.dst);
                         }
                         break 'hop None;
                     }
@@ -678,7 +643,9 @@ pub fn run_city_with_clock<K: ClockSource>(
                     tick_transit_sum += now.value().saturating_sub(pkt.created.value()) as f64;
                     tick_transit_n += 1;
                     if !frozen {
-                        router.reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
+                        router
+                            .learner_mut()
+                            .reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
                     }
                     admit(
                         cfg,
@@ -701,23 +668,15 @@ pub fn run_city_with_clock<K: ClockSource>(
                 if pkt.ttl == 0 {
                     net_dropped += 1;
                     if !frozen {
-                        router.reinforce_drop(&graph, u, v, pkt.dst);
+                        router.learner_mut().reinforce_drop(&graph, u, v, pkt.dst);
                     }
                     break 'hop None;
                 }
-                let hop = if benched {
-                    supervision
-                        .as_ref()
-                        .expect("benched implies supervised")
-                        .baseline
-                        .next_hop(&graph, v, pkt.dst, Some(u), false, &mut route_rng)
-                } else {
-                    router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng)
-                };
+                let hop = router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng);
                 let Some(w) = hop else {
                     net_dropped += 1;
                     if !frozen {
-                        router.reinforce_drop(&graph, u, v, pkt.dst);
+                        router.learner_mut().reinforce_drop(&graph, u, v, pkt.dst);
                     }
                     break 'hop None;
                 };
@@ -728,7 +687,7 @@ pub fn run_city_with_clock<K: ClockSource>(
                 if queues[v][k].len() >= QUEUE_CAP {
                     net_dropped += 1;
                     if !frozen {
-                        router.reinforce_drop(&graph, v, w, pkt.dst);
+                        router.learner_mut().reinforce_drop(&graph, v, w, pkt.dst);
                     }
                     break 'hop None;
                 }
@@ -967,40 +926,16 @@ pub fn run_city_with_clock<K: ClockSource>(
 
         // --- Meta-self-awareness over the router. ------------------
         let supervise_span = obs::span("city:supervise");
-        if let Some(s) = &mut supervision {
-            if tick_transit_n > 0 {
-                let mean = tick_transit_sum / f64::from(tick_transit_n);
-                s.realized = Some(match s.realized {
-                    Some(r) => 0.9 * r + 0.1 * mean,
-                    None => mean,
-                });
-            }
-            let realized = s.realized.unwrap_or(0.0);
-            let mut est_sum = 0.0;
-            let mut est_n = 0u32;
-            for (c, cam) in cameras.iter().enumerate() {
-                let home = cfg.zone_of(cam.position().x);
-                if let Some(e) = router.route_estimate(ingress[c], cfg.gateway(home)) {
-                    est_sum += e;
-                    est_n += 1;
-                }
-            }
-            let estimate = if est_n > 0 {
-                est_sum / f64::from(est_n)
-            } else {
-                realized
-            };
-            let error = (estimate - realized).abs();
-            s.sup.set_model_from(&router);
-            let verdict = s.sup.observe(
-                now,
-                Evidence::scored(estimate, error).with_input(realized),
-                &mut log,
-            );
-            if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                router.clone_from(s.sup.model());
-            }
-        }
+        router.observe(
+            now,
+            tick_transit_sum,
+            u64::from(tick_transit_n),
+            cameras
+                .iter()
+                .zip(&ingress)
+                .map(|(cam, &src)| (src, cfg.gateway(cfg.zone_of(cam.position().x)))),
+            &mut log,
+        );
         drop(supervise_span);
 
         clock.wait_until(now + Tick(1));
@@ -1044,10 +979,7 @@ pub fn run_city_with_clock<K: ClockSource>(
         .map(|z| stats.link_expired(ctrl, z) + stats.link_expired(z, ctrl))
         .sum();
     metrics.set("comms_dead_zone_expired", dead_zone_expired as f64);
-    let sup_stats = supervision
-        .as_ref()
-        .map(|s| s.sup.stats())
-        .unwrap_or_default();
+    let sup_stats = router.supervisor().stats();
     metrics.set("model_rollbacks", f64::from(sup_stats.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup_stats.fallbacks));
     metrics.set(

@@ -26,14 +26,80 @@
 //! controller, with exponential-backoff re-promotion probes. Every
 //! transition is recorded in the [`ExplanationLog`] — self-explanation
 //! of self-repair.
+//!
+//! The supervisor is the one place a substrate's learned model lives:
+//! unsupervised arms hold theirs in a [`Supervisor::unwatched`] one,
+//! and [`Supervisor::corrupt`] applies every [`ModelCorruptionKind`]
+//! to any [`Corruptible`] model.
 
 use crate::explain::{Explanation, ExplanationLog};
 use crate::meta::ResidualTracker;
 use crate::models::drift::{DriftDetector, PageHinkley};
+use crate::models::holt::Holt;
 use crate::replay::{InterventionClass, InterventionMask};
+use serde::{Deserialize, Serialize};
 use simkernel::obs::Json;
 use simkernel::Tick;
 use std::sync::Arc;
+
+/// How a controller self-model is corrupted.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum ModelCorruptionKind {
+    /// Model state is overwritten with NaN — the classic silent
+    /// poisoning of an EWMA/Holt pipeline, where one NaN propagates
+    /// through every subsequent forecast.
+    NanPoison,
+    /// Model weights are multiplied by a large `gain` (sign-flipped by
+    /// the consumer where that makes the corruption nastier), sending
+    /// forecasts off the rails while keeping them finite.
+    WeightScramble {
+        /// Multiplicative blow-up factor.
+        gain: f64,
+    },
+    /// The model stops updating for `duration` ticks: outputs freeze
+    /// while the world moves on.
+    StateFreeze {
+        /// Freeze length in ticks.
+        duration: u64,
+    },
+}
+
+/// A learned model the `NanPoison` and `WeightScramble`
+/// [`ModelCorruptionKind`]s can corrupt in place.
+pub trait Corruptible {
+    /// Overwrites the learned state with NaN.
+    fn poison(&mut self);
+    /// Blows the learned state up by `gain`, keeping it finite.
+    fn scramble(&mut self, gain: f64);
+}
+
+/// Holt state: NaN level and trend, or the level scaled by `gain` and
+/// the trend sign-flipped and pushed down by `gain`.
+impl Corruptible for Holt {
+    fn poison(&mut self) {
+        self.set_state(f64::NAN, f64::NAN);
+    }
+
+    fn scramble(&mut self, gain: f64) {
+        let (level, trend) = (self.level(), self.trend());
+        self.set_state(level * gain, -trend * gain - gain);
+    }
+}
+
+/// A bank of models (one per core, say) is corrupted model by model.
+impl<T: Corruptible> Corruptible for Vec<T> {
+    fn poison(&mut self) {
+        for m in self {
+            m.poison();
+        }
+    }
+
+    fn scramble(&mut self, gain: f64) {
+        for m in self {
+            m.scramble(gain);
+        }
+    }
+}
 
 /// What the watchdogs saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,7 +311,10 @@ impl SupervisionStats {
 /// The supervisor *owns* the model (`C`), takes periodic checkpoints
 /// of it while healthy, and decides each tick — from the evidence the
 /// substrate feeds it — whether the model keeps control, is rolled
-/// back, or is benched in favour of the substrate's baseline.
+/// back, or is benched in favour of the substrate's baseline. An
+/// [`unwatched`](Supervisor::unwatched) supervisor only holds the
+/// model: its [`observe`](Supervisor::observe) does nothing, so the
+/// model is never checkpointed, rolled back or benched.
 ///
 /// # Example
 ///
@@ -299,6 +368,10 @@ pub struct Supervisor<C: Clone> {
     backoff: u64,
     stats: SupervisionStats,
     mask: InterventionMask,
+    watching: bool,
+    /// End (exclusive) of the current `StateFreeze` window. It is not
+    /// model state, so a rollback does not thaw it.
+    frozen_until: Option<Tick>,
 }
 
 impl<C: Clone> Supervisor<C> {
@@ -340,7 +413,28 @@ impl<C: Clone> Supervisor<C> {
             backoff,
             stats: SupervisionStats::default(),
             mask: InterventionMask::allow_all(),
+            watching: true,
+            frozen_until: None,
         }
+    }
+
+    /// Holds `controller` with the watchdogs off: [`Supervisor::observe`]
+    /// does nothing, so the model is never checkpointed, rolled back or
+    /// benched, and learning through [`Supervisor::model_mut`] never
+    /// copies it. This is how an unsupervised arm holds its model.
+    #[must_use]
+    pub fn unwatched(name: impl Into<String>, controller: C) -> Self {
+        Self {
+            watching: false,
+            ..Self::new(name, controller)
+        }
+    }
+
+    /// Whether the watchdogs are on (false for
+    /// [`Supervisor::unwatched`]).
+    #[must_use]
+    pub fn is_watching(&self) -> bool {
+        self.watching
     }
 
     /// Sets the counterfactual-replay intervention mask (see
@@ -372,31 +466,19 @@ impl<C: Clone> Supervisor<C> {
     /// Copy-on-write: if the model currently shares storage with a
     /// checkpoint, the first call after that checkpoint/restore deep-
     /// clones it once; subsequent calls are free until the next
-    /// checkpoint. Substrates that overwrite the whole model every
-    /// tick should prefer [`Supervisor::set_model`], which never
-    /// clones the old state.
+    /// checkpoint.
     pub fn model_mut(&mut self) -> &mut C {
         Arc::make_mut(&mut self.controller)
     }
 
-    /// Replaces the supervised model wholesale without touching the
-    /// checkpoint (cheaper than `*model_mut() = c` — the shared
-    /// checkpoint state is never deep-cloned just to be overwritten).
-    pub fn set_model(&mut self, c: C) {
-        self.controller = Arc::new(c);
-    }
-
-    /// Overwrites the supervised model with a copy of `c`, leaving the
-    /// checkpoint alone. While no checkpoint shares the model, the
-    /// copy goes into the model's own storage through
-    /// [`Clone::clone_from`], so a substrate that syncs its live model
-    /// in every tick reuses one set of buffers; otherwise this is
-    /// [`Supervisor::set_model`] of a fresh clone.
-    pub fn set_model_from(&mut self, c: &C) {
-        match Arc::get_mut(&mut self.controller) {
-            Some(model) => model.clone_from(c),
-            None => self.controller = Arc::new(c.clone()),
-        }
+    /// Whether learning is gated at `now`: true for the ticks
+    /// `onset..onset + duration` of the last
+    /// [`ModelCorruptionKind::StateFreeze`] passed to
+    /// [`Supervisor::corrupt`]. The substrate skips its model updates
+    /// while this holds.
+    #[must_use]
+    pub fn frozen(&self, now: Tick) -> bool {
+        self.frozen_until.is_some_and(|until| now < until)
     }
 
     /// Who currently holds control.
@@ -425,8 +507,12 @@ impl<C: Clone> Supervisor<C> {
 
     /// Feeds one tick of evidence and walks the escalation ladder.
     /// Every transition is recorded in `log` under the action
-    /// `"supervise:{name}:{step}"`.
+    /// `"supervise:{name}:{step}"`. An unwatched supervisor ignores the
+    /// evidence and reports [`Verdict::Healthy`].
     pub fn observe(&mut self, now: Tick, evidence: Evidence, log: &mut ExplanationLog) -> Verdict {
+        if !self.watching {
+            return Verdict::Healthy;
+        }
         let output = evidence.output;
         let error = evidence
             .error
@@ -659,10 +745,25 @@ impl<C: Clone> Supervisor<C> {
     }
 }
 
+impl<C: Clone + Corruptible> Supervisor<C> {
+    /// Applies a model-corruption fault at `now`: `NanPoison` and
+    /// `WeightScramble` corrupt the held model in place (a later
+    /// rollback can restore it), `StateFreeze` gates learning until
+    /// `now + duration` (see [`Supervisor::frozen`]).
+    pub fn corrupt(&mut self, kind: ModelCorruptionKind, now: Tick) {
+        match kind {
+            ModelCorruptionKind::NanPoison => self.model_mut().poison(),
+            ModelCorruptionKind::WeightScramble { gain } => self.model_mut().scramble(gain),
+            ModelCorruptionKind::StateFreeze { duration } => {
+                self.frozen_until = Some(Tick(now.0 + duration));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::holt::Holt;
     use crate::models::{Forecaster, OnlineModel};
 
     fn log() -> ExplanationLog {
@@ -919,6 +1020,15 @@ mod tests {
         clones: std::rc::Rc<std::cell::Cell<u32>>,
     }
 
+    impl CloneCounter {
+        fn new(clones: &std::rc::Rc<std::cell::Cell<u32>>) -> Self {
+            Self {
+                value: 1.0,
+                clones: std::rc::Rc::clone(clones),
+            }
+        }
+    }
+
     impl Clone for CloneCounter {
         fn clone(&self) -> Self {
             self.clones.set(self.clones.get() + 1);
@@ -933,13 +1043,7 @@ mod tests {
     fn healthy_run_takes_checkpoints_without_cloning() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0u32));
         let mut l = log();
-        let mut sup = Supervisor::new(
-            "m",
-            CloneCounter {
-                value: 1.0,
-                clones: std::rc::Rc::clone(&clones),
-            },
-        );
+        let mut sup = Supervisor::new("m", CloneCounter::new(&clones));
         for t in 0..300u64 {
             let x = t as f64;
             let v = sup.observe(Tick(t), Evidence::scored(x, 0.1).with_input(x), &mut l);
@@ -954,16 +1058,10 @@ mod tests {
     }
 
     #[test]
-    fn restore_clones_lazily_and_set_model_never_clones() {
+    fn restore_clones_lazily() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0u32));
         let mut l = log();
-        let mut sup = Supervisor::new(
-            "m",
-            CloneCounter {
-                value: 1.0,
-                clones: std::rc::Rc::clone(&clones),
-            },
-        );
+        let mut sup = Supervisor::new("m", CloneCounter::new(&clones));
         for t in 0..100u64 {
             let x = t as f64;
             sup.observe(Tick(t), Evidence::scored(x, 0.1).with_input(x), &mut l);
@@ -977,13 +1075,89 @@ mod tests {
         assert_eq!(clones.get(), 1, "clone-on-restore happens on write");
         sup.model_mut().value = 3.0;
         assert_eq!(clones.get(), 1, "further writes are free until shared");
-        // Whole-model replacement bypasses copy-on-write entirely.
-        sup.set_model(CloneCounter {
-            value: 9.0,
-            clones: std::rc::Rc::clone(&clones),
-        });
-        assert_eq!(clones.get(), 1, "set_model never clones old state");
-        assert!((sup.model().value - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unwatched_supervisor_only_holds_the_model() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let mut l = log();
+        let mut sup = Supervisor::unwatched("m", CloneCounter::new(&clones));
+        for t in 0..300u64 {
+            sup.model_mut().value = t as f64;
+            // Even NaN evidence is ignored: no ladder, no checkpoint.
+            let v = sup.observe(Tick(t), Evidence::scored(f64::NAN, f64::NAN), &mut l);
+            assert_eq!(v, Verdict::Healthy);
+        }
+        assert_eq!(sup.stats(), SupervisionStats::default());
+        assert_eq!(clones.get(), 0, "an unshared model is never copied");
+        assert!(l.is_empty());
+    }
+
+    #[test]
+    fn state_freeze_gates_learning_for_its_window_only() {
+        for (onset, duration) in [(0u64, 1u64), (40, 10), (7, 0)] {
+            let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
+            // A substrate's tick loop: the fault strikes at the top of
+            // tick `onset`, then each tick asks whether it may learn.
+            let mut frozen = Vec::new();
+            for t in 0..onset + duration + 5 {
+                if t == onset {
+                    sup.corrupt(ModelCorruptionKind::StateFreeze { duration }, Tick(t));
+                }
+                if sup.frozen(Tick(t)) {
+                    frozen.push(t);
+                } else {
+                    sup.model_mut().observe(t as f64);
+                }
+            }
+            assert_eq!(
+                frozen,
+                (onset..onset + duration).collect::<Vec<_>>(),
+                "freeze at {onset} for {duration}"
+            );
+            assert!(!sup.frozen(Tick(onset + duration)), "learning resumes");
+            assert_eq!(sup.model().observations(), 5 + onset);
+        }
+    }
+
+    #[test]
+    fn rollback_does_not_thaw_a_freeze() {
+        let mut l = log();
+        let mut sup = Supervisor::new("m", Holt::new(0.3, 0.1));
+        warm_up(&mut sup, &mut l, 0, 100);
+        sup.corrupt(ModelCorruptionKind::StateFreeze { duration: 50 }, Tick(100));
+        sup.corrupt(ModelCorruptionKind::NanPoison, Tick(100));
+        let out = sup.model().forecast().unwrap_or(f64::NAN);
+        let v = sup.observe(Tick(100), Evidence::forecast(100.0, out), &mut l);
+        assert_eq!(v, Verdict::RolledBack(Anomaly::NonFinite));
+        assert!(sup.frozen(Tick(120)), "the freeze is not model state");
+    }
+
+    #[test]
+    fn holt_corruptions_match_their_formulas() {
+        // (level, trend, gain) → scrambled (level·gain, −trend·gain − gain).
+        for ((level, trend, gain), scrambled) in [
+            ((10.0, 0.5, 25.0), (250.0, -37.5)),
+            ((-3.0, -2.0, 40.0), (-120.0, 40.0)),
+            ((0.0, 0.0, 5.0), (0.0, -5.0)),
+        ] {
+            let mut h = Holt::new(0.3, 0.1);
+            h.set_state(level, trend);
+            h.scramble(gain);
+            assert_eq!((h.level(), h.trend()), scrambled);
+            h.poison();
+            assert!(
+                h.forecast().is_some_and(f64::is_nan),
+                "poison makes output NaN"
+            );
+        }
+        // A bank is corrupted model by model.
+        let mut bank = vec![Holt::new(0.4, 0.2); 2];
+        bank[1].set_state(3.0, -1.0);
+        bank.scramble(10.0);
+        assert_eq!((bank[1].level(), bank[1].trend()), (30.0, 0.0));
+        bank.poison();
+        assert!(bank.iter().all(|h| h.forecast().is_some_and(f64::is_nan)));
     }
 
     /// Checkpoint-anchored replay: cloning a supervisor mid-run and

@@ -12,6 +12,9 @@
 //!   paths;
 //! * [`routing`] — routers: frozen shortest-path, periodic re-route,
 //!   and CPN reinforcement routing with smart (exploring) packets;
+//! * [`supervised`] — the run's router held in its supervisor, with
+//!   the periodic-table baseline a benched learned router falls back
+//!   to (shared with the composed city);
 //! * [`sim`] — packet-level simulation with per-link queues, drops,
 //!   TTLs, attack surges, and the F2 delay series.
 
@@ -22,7 +25,9 @@
 pub mod graph;
 pub mod routing;
 pub mod sim;
+pub mod supervised;
 
 pub use graph::Graph;
 pub use routing::RoutingStrategy;
 pub use sim::{run_cpn, CpnConfig, CpnResult};
+pub use supervised::SupervisedRouter;

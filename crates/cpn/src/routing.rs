@@ -10,6 +10,7 @@
 
 use crate::graph::{bfs_next_hops_over, weighted_next_hops_over, Graph};
 use rand::Rng as _;
+use selfaware::supervision::Corruptible;
 use simkernel::rng::Rng;
 use simkernel::Tick;
 use std::sync::{Arc, OnceLock};
@@ -227,25 +228,11 @@ impl Table {
 /// at `base[u] + dst·deg(u)` of one flat `cells` buffer. The row
 /// offsets depend only on the topology, so clones share them and a
 /// clone copies just the cells.
+#[derive(Clone)]
 struct QTable {
     cells: Vec<f64>,
     /// `(base[u], deg(u))` per router.
     rows: Arc<[(usize, usize)]>,
-}
-
-impl Clone for QTable {
-    fn clone(&self) -> Self {
-        Self {
-            cells: self.cells.clone(),
-            rows: Arc::clone(&self.rows),
-        }
-    }
-
-    /// Copies the cells into this table's own buffer.
-    fn clone_from(&mut self, source: &Self) {
-        self.cells.clone_from(&source.cells);
-        self.rows.clone_from(&source.rows);
-    }
 }
 
 impl QTable {
@@ -300,49 +287,16 @@ enum RouterKind {
     },
 }
 
-/// A runtime router, cheap enough to copy into a supervisor every
-/// tick. A CPN router's learned state is one flat `f64` buffer of
-/// `Σ_u n·deg(u)` cells (row `(u, dst)` at `base[u] + dst·deg(u)`,
-/// with the offsets shared between clones) plus its `n`-entry
-/// congestion penalty: `clone` is two allocations and two copies, and
-/// `clone_from` into another CPN router is the two copies alone, into
-/// the buffers it already has. A table router clones its link
+/// A runtime router, cheap to copy when its supervisor restores or
+/// first writes after a checkpoint. A CPN router's learned state is
+/// one flat `f64` buffer of `Σ_u n·deg(u)` cells (row `(u, dst)` at
+/// `base[u] + dst·deg(u)`, with the offsets shared between clones)
+/// plus its `n`-entry congestion penalty, so a clone is two
+/// allocations and two copies. A table router clones its link
 /// snapshot and whichever next-hop tables it has built so far.
+#[derive(Clone)]
 pub struct Router {
     kind: RouterKind,
-}
-
-impl Clone for Router {
-    fn clone(&self) -> Self {
-        Self {
-            kind: self.kind.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (&mut self.kind, &source.kind) {
-            (
-                RouterKind::Cpn {
-                    q,
-                    smart_ratio,
-                    epsilon,
-                    penalty,
-                },
-                RouterKind::Cpn {
-                    q: src_q,
-                    smart_ratio: src_smart_ratio,
-                    epsilon: src_epsilon,
-                    penalty: src_penalty,
-                },
-            ) => {
-                q.clone_from(src_q);
-                *smart_ratio = *src_smart_ratio;
-                *epsilon = *src_epsilon;
-                penalty.clone_from(src_penalty);
-            }
-            (kind, src_kind) => *kind = src_kind.clone(),
-        }
-    }
 }
 
 /// Penalty delay (ticks) learned for a hop that led to a drop.
@@ -558,21 +512,21 @@ impl Router {
         }
         Some(best)
     }
+}
 
-    /// Overwrites every learned delay estimate with NaN (the
-    /// `NanPoison` model-corruption fault). No-op for table routers.
-    pub fn poison_model(&mut self) {
+/// `NanPoison` overwrites every learned delay estimate with NaN;
+/// `WeightScramble` inflates every cell by `gain` plus a
+/// neighbour-index-dependent offset, which both perturbs the relative
+/// ordering the routing relies on and blows the estimates away from
+/// measured delays. Both are no-ops for table routers.
+impl Corruptible for Router {
+    fn poison(&mut self) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
             q.cells.fill(f64::NAN);
         }
     }
 
-    /// Scrambles the learned delay estimates (the `WeightScramble`
-    /// fault): every cell is inflated by `gain` plus a
-    /// neighbour-index-dependent offset, which both perturbs the
-    /// relative ordering the routing relies on and blows the
-    /// estimates away from measured delays. No-op for table routers.
-    pub fn scramble_model(&mut self, gain: f64) {
+    fn scramble(&mut self, gain: f64) {
         if let RouterKind::Cpn { q, .. } = &mut self.kind {
             let n = q.rows.len();
             for u in 0..n {
@@ -840,6 +794,35 @@ mod tests {
         for clone in [&before_lookup, &after_lookup, &into_cpn, &into_table] {
             assert_routes(clone, &g, &at_snapshot);
         }
+    }
+
+    #[test]
+    fn corruptions_follow_their_formulas() {
+        let g = Graph::grid(3, 3);
+        let mut r = RoutingStrategy::cpn_default().build(&g);
+        r.reinforce_drop(&g, 0, 1, 8);
+        let before = r.clone();
+        // Cell `k` (the k-th neighbour) of every row: `c·gain + (k + 1)·gain`.
+        r.scramble(4.0);
+        for u in 0..g.len() {
+            for (k, &v) in g.neighbours(u).iter().enumerate() {
+                for d in 0..g.len() {
+                    let c = before.estimate(&g, u, v, d).unwrap_or(f64::NAN);
+                    assert_eq!(
+                        r.estimate(&g, u, v, d),
+                        Some(c * 4.0 + (k as f64 + 1.0) * 4.0)
+                    );
+                }
+            }
+        }
+        r.poison();
+        assert!(r.route_estimate(0, 8).is_some_and(f64::is_nan));
+        // Table routers hold no delay model: both are no-ops.
+        let mut table = RoutingStrategy::Periodic { period: 5 }.build(&g);
+        table.scramble(4.0);
+        table.poison();
+        let mut a = rng();
+        assert_eq!(table.next_hop(&g, 0, 8, None, false, &mut a), Some(1));
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! surges — and the F2 adapt-around-the-attack experiment.
 
 use crate::graph::Graph;
-use crate::routing::{Router, RoutingStrategy};
+use crate::routing::RoutingStrategy;
+use crate::supervised::SupervisedRouter;
 use selfaware::comms::{CommsNetwork, CommsPolicy};
 use selfaware::explain::ExplanationLog;
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{Evidence, Supervisor, Verdict};
 use simkernel::obs;
 use simkernel::rng::SeedTree;
 use simkernel::{MetricSet, Tick, TimeSeries};
-use workloads::faults::{ChannelPlan, FaultKind, FaultPlan, ModelCorruptionKind};
+use workloads::faults::{ChannelPlan, FaultKind, FaultPlan};
 use workloads::rates::poisson;
 
 /// Maximum hops before a packet is discarded.
@@ -239,20 +239,6 @@ struct Packet {
     hop_log: Vec<(usize, Tick)>,
 }
 
-/// Sim-level meta-self-awareness for `SupervisedCpn`: the supervisor
-/// checkpoints the live router, scores its best-case delay estimates
-/// against realized deliveries, and — while the model is benched —
-/// routes over a periodically recomputed table instead.
-struct CpnSupervision {
-    sup: Supervisor<Router>,
-    log: ExplanationLog,
-    /// Fallback used while the learned model is benched.
-    baseline: Router,
-    /// EWMA of realized end-to-end delivery delay (the supervisor's
-    /// ground truth for the model's delay estimates).
-    realized: Option<f64>,
-}
-
 /// Runs a scenario. Metric keys:
 ///
 /// * `injected`, `delivered`, `dropped` — background packet counts;
@@ -265,19 +251,12 @@ struct CpnSupervision {
 #[must_use]
 pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
     let mut graph = Graph::grid(cfg.rows, cfg.cols);
-    let mut router = cfg.strategy.build(&graph);
+    // Sim-level meta-self-awareness for `SupervisedCpn` (see
+    // `crate::supervised`); other strategies hold an unwatched router.
+    let mut router = SupervisedRouter::new(cfg.strategy, &graph, "cpn-routing", cfg.mask);
+    let mut sup_log = ExplanationLog::new(512);
     let mut inject_rng = seeds.rng("inject");
     let mut route_rng = seeds.rng("route");
-    let mut supervision =
-        matches!(cfg.strategy, RoutingStrategy::SupervisedCpn { .. }).then(|| {
-            Box::new(CpnSupervision {
-                sup: Supervisor::new("cpn-routing", router.clone()).with_mask(cfg.mask),
-                log: ExplanationLog::new(512),
-                baseline: RoutingStrategy::Periodic { period: 25 }.build(&graph),
-                realized: None,
-            })
-        });
-    let mut frozen_until: Option<Tick> = None;
 
     // queues[u][k] = packets waiting at u for the link to its k-th
     // neighbour.
@@ -319,7 +298,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
 
     let enqueue = |graph: &Graph,
                    queues: &mut Vec<Vec<std::collections::VecDeque<Packet>>>,
-                   router: &mut Router,
+                   router: &mut SupervisedRouter,
                    frozen: bool,
                    u: usize,
                    v: usize,
@@ -335,7 +314,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 *dropped += 1;
             }
             if !frozen {
-                router.reinforce_drop(graph, u, v, pkt.dst);
+                router.learner_mut().reinforce_drop(graph, u, v, pkt.dst);
             }
         } else {
             queues[u][k].push_back(pkt);
@@ -359,19 +338,14 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 FaultKind::LinkRestore { a, b } => {
                     graph.restore_edge(a, b);
                 }
-                FaultKind::ModelCorruption { kind, .. } => match kind {
-                    ModelCorruptionKind::NanPoison => router.poison_model(),
-                    ModelCorruptionKind::WeightScramble { gain } => router.scramble_model(gain),
-                    ModelCorruptionKind::StateFreeze { duration } => {
-                        frozen_until = Some(Tick(t + duration));
-                    }
-                },
+                FaultKind::ModelCorruption { kind, .. } => {
+                    router.supervisor_mut().corrupt(kind, now)
+                }
                 _ => {}
             }
         }
 
-        let frozen = frozen_until.is_some_and(|until| now.value() < until.value());
-        let benched = supervision.as_ref().is_some_and(|s| s.sup.is_fallback());
+        let frozen = router.supervisor().frozen(now);
 
         // The queue state routing sees: believed reports, with the
         // staleness-aware policy discounting silent routers toward
@@ -402,9 +376,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         drop(sense_span);
         let decide_span = obs::span("cpn:decide");
         router.maintain(&graph, now, qlen);
-        if let Some(s) = &mut supervision {
-            s.baseline.maintain(&graph, now, qlen);
-        }
 
         // Learned routers carry the controller's picture as a
         // decision-time penalty: a hop into a router whose queues are
@@ -428,9 +399,6 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 .map(|c| if c >= cutoff { c as f64 } else { 0.0 })
                 .collect();
             router.set_congestion(&congestion);
-            if let Some(s) = &mut supervision {
-                s.baseline.set_congestion(&congestion);
-            }
         }
 
         drop(decide_span);
@@ -447,11 +415,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 if !flow.hostile {
                     injected += 1;
                 }
-                let smart = if benched {
-                    false // table fallback has no smart packets
-                } else {
-                    router.is_smart(&mut route_rng)
-                };
+                let smart = router.is_smart(&mut route_rng);
                 let pkt = Packet {
                     dst: flow.dst,
                     smart,
@@ -459,15 +423,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                     created: now,
                     hop_log: vec![(flow.src, now)],
                 };
-                let hop = if benched {
-                    supervision
-                        .as_ref()
-                        .expect("benched implies supervised")
-                        .baseline
-                        .next_hop(&graph, flow.src, flow.dst, None, false, &mut route_rng)
-                } else {
-                    router.next_hop(&graph, flow.src, flow.dst, None, smart, &mut route_rng)
-                };
+                let hop = router.next_hop(&graph, flow.src, flow.dst, None, smart, &mut route_rng);
                 match hop {
                     Some(v) => {
                         enqueue(
@@ -526,13 +482,17 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                 debug_assert_eq!(log_u, u);
                 let hop_delay = now.value().saturating_sub(entered_u.value()) as f64;
                 if !frozen {
-                    router.reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
+                    router
+                        .learner_mut()
+                        .reinforce_hop(&graph, u, v, pkt.dst, hop_delay);
                 }
             }
             pkt.hop_log.push((v, now));
             if v == pkt.dst {
                 if !frozen {
-                    router.reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
+                    router
+                        .learner_mut()
+                        .reinforce_delivery(&graph, pkt.dst, &pkt.hop_log);
                 }
                 if !pkt.hostile {
                     delivered += 1;
@@ -558,19 +518,11 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
                     dropped += 1;
                 }
                 if !frozen {
-                    router.reinforce_drop(&graph, u, v, pkt.dst);
+                    router.learner_mut().reinforce_drop(&graph, u, v, pkt.dst);
                 }
                 continue;
             }
-            let hop = if benched {
-                supervision
-                    .as_ref()
-                    .expect("benched implies supervised")
-                    .baseline
-                    .next_hop(&graph, v, pkt.dst, Some(u), false, &mut route_rng)
-            } else {
-                router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng)
-            };
+            let hop = router.next_hop(&graph, v, pkt.dst, Some(u), pkt.smart, &mut route_rng);
             match hop {
                 Some(w) => enqueue(
                     &graph,
@@ -615,41 +567,16 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         // estimates against realized deliveries and let the
         // supervisor checkpoint / roll back / bench the live router.
         let _decide_span = obs::span("cpn:decide");
-        if let Some(s) = &mut supervision {
-            if tick_delay_count > 0 {
-                let mean = tick_delay_sum / tick_delay_count as f64;
-                s.realized = Some(match s.realized {
-                    Some(r) => 0.9 * r + 0.1 * mean,
-                    None => mean,
-                });
-            }
-            let realized = s.realized.unwrap_or(0.0);
-            let mut est_sum = 0.0;
-            let mut est_n = 0u32;
-            for flow in cfg.flows.iter().filter(|f| !f.hostile) {
-                if let Some(e) = router.route_estimate(flow.src, flow.dst) {
-                    est_sum += e;
-                    est_n += 1;
-                }
-            }
-            let estimate = if est_n > 0 {
-                est_sum / f64::from(est_n)
-            } else {
-                realized
-            };
-            let error = (estimate - realized).abs();
-            // Sync the live router into the supervisor so checkpoints
-            // capture it, then copy back on rollback/fallback.
-            s.sup.set_model_from(&router);
-            let verdict = s.sup.observe(
-                now,
-                Evidence::scored(estimate, error).with_input(realized),
-                &mut s.log,
-            );
-            if matches!(verdict, Verdict::RolledBack(_) | Verdict::FellBack(_)) {
-                router.clone_from(s.sup.model());
-            }
-        }
+        router.observe(
+            now,
+            tick_delay_sum,
+            tick_delay_count,
+            cfg.flows
+                .iter()
+                .filter(|f| !f.hostile)
+                .map(|f| (f.src, f.dst)),
+            &mut sup_log,
+        );
     }
 
     let mut metrics = MetricSet::new();
@@ -676,10 +603,7 @@ pub fn run_cpn(cfg: &CpnConfig, seeds: &SeedTree) -> CpnResult {
         );
     }
     metrics.set("utility", ratio - mean_delay / 100.0);
-    let sup = supervision
-        .as_ref()
-        .map(|s| s.sup.stats())
-        .unwrap_or_default();
+    let sup = router.supervisor().stats();
     metrics.set("model_rollbacks", f64::from(sup.rollbacks));
     metrics.set("model_fallbacks", f64::from(sup.fallbacks));
     metrics.set("model_repromotions", f64::from(sup.repromotions));

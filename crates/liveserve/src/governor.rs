@@ -299,3 +299,37 @@ impl ControlLoop for Governor {
             .is_some_and(|f| f.load(Ordering::SeqCst))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{Server, ServerConfig};
+
+    #[test]
+    fn poisoned_governor_explains_under_its_own_name() {
+        let cfg = ServerConfig {
+            max_workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = Server::spawn(&cfg).expect("bind a local port");
+        let poison_at = Some((40, ModelCorruptionKind::NanPoison));
+        let mut gov = Governor::new(
+            &handle,
+            GovernorConfig {
+                poison_at,
+                ..Default::default()
+            },
+        );
+        // Step the loop by hand on the idle server's frames: no wall clock.
+        for t in 0..80 {
+            let frame = gov.sense(Tick(t));
+            gov.step(Tick(t), frame);
+        }
+        let _ = handle.shutdown(Duration::from_secs(5));
+        let log = gov.core.explanations().expect("the governor is supervised");
+        assert!(!log.is_empty(), "the poison must reach the ladder");
+        assert!(log
+            .iter()
+            .all(|e| e.action.starts_with("supervise:live-arrivals:")));
+    }
+}

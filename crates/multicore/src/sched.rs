@@ -20,10 +20,11 @@ use selfaware::models::holt::Holt;
 use selfaware::models::qlearn::QLearner;
 use selfaware::models::{Forecaster, OnlineModel};
 use selfaware::replay::InterventionMask;
-use selfaware::supervision::{ControlSource, Evidence, SupervisionStats, Supervisor};
+use selfaware::supervision::{
+    ControlSource, Evidence, ModelCorruptionKind, SupervisionStats, Supervisor,
+};
 use simkernel::rng::Rng;
 use simkernel::Tick;
-use workloads::faults::ModelCorruptionKind;
 use workloads::tasks::{Task, TaskClass};
 
 /// Scheduler selector.
@@ -87,9 +88,7 @@ impl SchedController {
     /// consume no randomness, so this never perturbs seed streams.
     pub fn set_mask(&mut self, mask: InterventionMask) {
         if let Some(state) = &mut self.state {
-            if let Some(svc) = &mut state.supervision {
-                svc.sup.set_mask(mask);
-            }
+            state.forecasts.set_mask(mask);
         }
     }
 
@@ -168,7 +167,7 @@ impl SchedController {
     /// baselines.
     pub fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
         if let Some(s) = &mut self.state {
-            s.inject_model_corruption(kind, now);
+            s.forecasts.corrupt(kind, now);
         }
     }
 
@@ -177,18 +176,8 @@ impl SchedController {
     pub fn supervision_stats(&self) -> Option<SupervisionStats> {
         self.state
             .as_ref()
-            .and_then(|s| s.supervision.as_ref())
-            .map(|svc| svc.sup.stats())
-    }
-
-    /// The supervisor's explanation log, if this scheduler is
-    /// supervised.
-    #[must_use]
-    pub fn explanations(&self) -> Option<&ExplanationLog> {
-        self.state
-            .as_ref()
-            .and_then(|s| s.supervision.as_deref())
-            .map(|svc| &svc.log)
+            .filter(|s| s.forecasts.is_watching())
+            .map(|s| s.forecasts.stats())
     }
 }
 
@@ -205,77 +194,36 @@ fn qstate(class: TaskClass, big_hot: bool) -> usize {
 struct SelfAwareSched {
     /// Action space: 0 = route to big cluster, 1 = little cluster.
     q: QLearner,
-    temp_forecasts: Vec<Holt>,
+    /// Per-core thermal-forecast bank, watched by a supervisor in the
+    /// supervised scheduler and unwatched otherwise.
+    forecasts: Supervisor<Vec<Holt>>,
+    log: ExplanationLog,
     governor: ExplorationGovernor,
     /// Task id → (q-state, action) recorded at assignment time, so
     /// feedback credits the decision that actually routed the task.
     assignments: std::collections::HashMap<u64, (usize, usize)>,
-    /// Watchdog over the thermal-forecast bank. When present, the
-    /// bank in `sup.model()` replaces `temp_forecasts`.
-    supervision: Option<Box<ThermalSupervision>>,
-    frozen_until: Option<Tick>,
     /// Set per tick by `govern_dvfs`: true while the supervisor has
     /// benched the forecast bank (reactive DVFS on current temps).
     benched: bool,
 }
 
-#[derive(Debug)]
-struct ThermalSupervision {
-    sup: Supervisor<Vec<Holt>>,
-    log: ExplanationLog,
-}
-
 impl SelfAwareSched {
     fn new(n_cores: usize) -> Self {
+        let bank = (0..n_cores).map(|_| Holt::new(0.4, 0.2)).collect();
         Self {
             q: QLearner::new(6, 2, 0.15, 0.0, 0.15),
-            temp_forecasts: (0..n_cores).map(|_| Holt::new(0.4, 0.2)).collect(),
+            forecasts: Supervisor::unwatched("thermal-forecasts", bank),
+            log: ExplanationLog::new(512),
             governor: ExplorationGovernor::new(0.03, 0.4, 0.998, 0.15, 12.0),
             assignments: std::collections::HashMap::new(),
-            supervision: None,
-            frozen_until: None,
             benched: false,
         }
     }
 
     fn supervised(mut self) -> Self {
-        let bank = std::mem::take(&mut self.temp_forecasts);
-        self.supervision = Some(Box::new(ThermalSupervision {
-            sup: Supervisor::new("thermal-forecasts", bank),
-            log: ExplanationLog::new(512),
-        }));
+        let bank = self.forecasts.model().clone();
+        self.forecasts = Supervisor::new("thermal-forecasts", bank);
         self
-    }
-
-    fn forecasts(&self) -> &[Holt] {
-        match &self.supervision {
-            Some(svc) => svc.sup.model(),
-            None => &self.temp_forecasts,
-        }
-    }
-
-    fn inject_model_corruption(&mut self, kind: ModelCorruptionKind, now: Tick) {
-        match kind {
-            ModelCorruptionKind::StateFreeze { duration } => {
-                self.frozen_until = Some(Tick(now.0 + duration));
-            }
-            _ => {
-                let bank = match &mut self.supervision {
-                    Some(svc) => svc.sup.model_mut(),
-                    None => &mut self.temp_forecasts,
-                };
-                for model in bank {
-                    match kind {
-                        ModelCorruptionKind::NanPoison => model.set_state(f64::NAN, f64::NAN),
-                        ModelCorruptionKind::WeightScramble { gain } => {
-                            let (level, trend) = (model.level(), model.trend());
-                            model.set_state(level * gain, -trend * gain - gain);
-                        }
-                        ModelCorruptionKind::StateFreeze { .. } => unreachable!("handled above"),
-                    }
-                }
-            }
-        }
     }
 
     /// Predicted temperature used for thermal decisions on core `i`:
@@ -286,8 +234,8 @@ impl SelfAwareSched {
         if self.benched {
             return current;
         }
-        let predicted = self.forecasts()[i].forecast_h(5).unwrap_or(current);
-        if predicted.is_finite() || self.supervision.is_none() {
+        let predicted = self.forecasts.model()[i].forecast_h(5).unwrap_or(current);
+        if predicted.is_finite() || !self.forecasts.is_watching() {
             predicted
         } else {
             current
@@ -303,20 +251,22 @@ impl SelfAwareSched {
     }
 
     fn govern_dvfs(&mut self, cores: &mut [Core], now: Tick) {
-        let frozen = self.frozen_until.is_some_and(|until| now.0 < until.0);
-        if let Some(svc) = &mut self.supervision {
-            // Feed the bank, then hand the supervisor the hottest
-            // current reading (input) against the hottest one-step
-            // prediction (output): the forecast contract the
-            // watchdogs score is "next tick's peak temperature".
+        let bank = &mut self.forecasts;
+        if !bank.frozen(now) {
+            for (i, core) in cores.iter().enumerate() {
+                bank.model_mut()[i].observe(core.temperature());
+            }
+        }
+        if bank.is_watching() {
+            // Hand the supervisor the hottest current reading (input)
+            // against the hottest one-step prediction (output): the
+            // forecast contract the watchdogs score is "next tick's
+            // peak temperature".
             let mut max_temp = f64::NEG_INFINITY;
             let mut max_pred = f64::NEG_INFINITY;
             for (i, core) in cores.iter().enumerate() {
                 let temp = core.temperature();
-                if !frozen {
-                    svc.sup.model_mut()[i].observe(temp);
-                }
-                let pred = svc.sup.model()[i].forecast_h(1).unwrap_or(temp);
+                let pred = bank.model()[i].forecast_h(1).unwrap_or(temp);
                 max_temp = max_temp.max(temp);
                 // NaN-propagating max: a poisoned core must not be
                 // masked by a healthy hotter one.
@@ -326,13 +276,8 @@ impl SelfAwareSched {
                     max_pred.max(pred)
                 };
             }
-            svc.sup
-                .observe(now, Evidence::forecast(max_temp, max_pred), &mut svc.log);
-            self.benched = svc.sup.source() == ControlSource::Baseline;
-        } else if !frozen {
-            for (i, core) in cores.iter().enumerate() {
-                self.temp_forecasts[i].observe(core.temperature());
-            }
+            bank.observe(now, Evidence::forecast(max_temp, max_pred), &mut self.log);
+            self.benched = bank.source() == ControlSource::Baseline;
         }
         for (i, core) in cores.iter_mut().enumerate() {
             let predicted = self.predicted_temp(i, core.temperature());

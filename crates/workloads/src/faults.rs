@@ -127,27 +127,9 @@ pub enum FaultKind {
     },
 }
 
-/// How a controller self-model is corrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ModelCorruptionKind {
-    /// Model state is overwritten with NaN — the classic silent
-    /// poisoning of an EWMA/Holt pipeline, where one NaN propagates
-    /// through every subsequent forecast.
-    NanPoison,
-    /// Model weights are multiplied by a large `gain` (sign-flipped by
-    /// the consumer where that makes the corruption nastier), sending
-    /// forecasts off the rails while keeping them finite.
-    WeightScramble {
-        /// Multiplicative blow-up factor.
-        gain: f64,
-    },
-    /// The model stops updating for `duration` ticks: outputs freeze
-    /// while the world moves on.
-    StateFreeze {
-        /// Freeze length in ticks.
-        duration: u64,
-    },
-}
+/// How a controller self-model is corrupted. Defined next to the
+/// [`Supervisor`](selfaware::supervision::Supervisor) that applies it.
+pub use selfaware::supervision::ModelCorruptionKind;
 
 /// A fault bound to its onset time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -389,22 +371,6 @@ impl FaultPlan {
                 _ => None,
             })
             .next_back()
-    }
-
-    /// Whether controller `controller`'s model is inside an active
-    /// [`ModelCorruptionKind::StateFreeze`] window at `t`. Simulators
-    /// consult this to suppress model updates while frozen (the freeze
-    /// is a property of the fault plan, not of checkpointable model
-    /// state — a rollback must not thaw it).
-    #[must_use]
-    pub fn model_frozen_at(&self, controller: usize, t: Tick) -> bool {
-        self.events.iter().any(|e| match e.kind {
-            FaultKind::ModelCorruption {
-                controller: c,
-                kind: ModelCorruptionKind::StateFreeze { duration },
-            } => c == controller && e.at <= t && t.value() < e.at.value() + duration,
-            _ => false,
-        })
     }
 
     /// Whether node `node` is inside an active
@@ -1106,30 +1072,6 @@ mod tests {
     #[should_panic(expected = "fault window must be non-empty")]
     fn empty_window_panics() {
         let _ = FaultPlan::random_camera_outages(&SeedTree::new(1), 4, 1, (5, 5), 10);
-    }
-
-    #[test]
-    fn model_frozen_at_windows() {
-        let plan = FaultPlan::none()
-            .and(FaultEvent::model_corruption(
-                Tick(50),
-                0,
-                ModelCorruptionKind::StateFreeze { duration: 10 },
-            ))
-            .and(FaultEvent::model_corruption(
-                Tick(60),
-                1,
-                ModelCorruptionKind::NanPoison,
-            ));
-        assert!(!plan.model_frozen_at(0, Tick(49)));
-        assert!(plan.model_frozen_at(0, Tick(50)));
-        assert!(plan.model_frozen_at(0, Tick(59)));
-        assert!(!plan.model_frozen_at(0, Tick(60)));
-        assert!(!plan.model_frozen_at(1, Tick(55)), "other controller");
-        assert!(
-            !plan.model_frozen_at(1, Tick(60)),
-            "non-freeze corruption never freezes"
-        );
     }
 
     #[test]
